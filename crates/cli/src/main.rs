@@ -53,8 +53,7 @@ use ttk_core::{
     bind_daemon_listener, run_daemon, serve_client, serve_stream, Algorithm, AppendLog,
     BatchOptions, ConnectOptions, ConnectionHandler, DaemonControl, DaemonOptions, Dataset,
     DatasetLoader, DatasetProvider, DatasetRegistry, PlanDescription, QueryJob, QueryServeOptions,
-    RemoteQueryClient, RemoteShardDataset, ResultCache, ScanPath, ServeOptions, Session,
-    ShedPolicy, TopkQuery,
+    RemoteQueryClient, RemoteShardDataset, ResultCache, ScanPath, Session, ShedPolicy, TopkQuery,
 };
 use ttk_datagen::cartel::{generate_area, CartelConfig};
 use ttk_datagen::soldier;
@@ -95,7 +94,7 @@ fn usage() -> &'static str {
               [--batch KS] [--threads N] [--spill-buffer TUPLES]
               [--prefetch TUPLES] [--id-base N]
               [--remote-timeout SECS] [--remote-retries N]
-              [--no-pushdown] [--bound-update-every TUPLES]
+              [--no-pushdown]
   ttk explain (DATA.csv | --file DATA.csv | --shard ... | --remote-shard ...
                | --server HOST:PORT --dataset NAME --after)
               --score EXPR [--k K] [--p-tau P] [--algorithm ...]
@@ -122,7 +121,6 @@ fn usage() -> &'static str {
               [--spill-buffer TUPLES]
               [--max-conns N] [--max-parallel N] [--port-file FILE]
               [--write-timeout-ms MS]
-              [--pushdown-wait-ms MS] [--block-tuples N]
               [--prob-column NAME] [--group-column NAME]
   ttk coordinator --listen HOST:PORT [--namespace LABEL] [--max-leases N]
               [--port-file FILE] [--write-timeout-ms MS]
@@ -143,11 +141,10 @@ fn usage() -> &'static str {
   still starting up is retried instead of failing the query.
 
   Remote scans push the Theorem-2 scan gate down to the servers by default:
-  the query's (k, p-tau) is announced on connect, v3 servers stop at a
+  every connection opens with the query's (k, p-tau), servers stop at a
   conservative per-shard bound instead of draining the shard, and the client
-  refreshes each server's bound every --bound-update-every tuples pulled
-  (default 64) as its merge-side gate tightens. --no-pushdown forces the
-  full replay; pre-v3 servers get it automatically. Results are
+  refreshes each server's bound every 64 tuples pulled as its merge-side
+  gate tightens. --no-pushdown forces the full replay. Results are
   bit-identical either way.
 
   serve-shard scores its input once and then serves it as a rank-ordered
@@ -161,13 +158,12 @@ fn usage() -> &'static str {
   row count and is leased its id base and group-key namespace instead.
   Group keys are hashed from the group label so independently-served shards
   agree on ME groups. --port-file writes the actually-bound address
-  atomically (useful with --listen 127.0.0.1:0). Each connection waits
-  --pushdown-wait-ms (default 25) for a pushdown query announcement before
-  falling back to the full v1/v2 replay, and logs one summary line (rows
-  scanned, tuples shipped, stop reason: gate/exhausted/client-gone). Clients
-  that announce columnar block support get the replay packed into block
-  frames of at most --block-tuples tuples each (default 512, clamped by the
-  client's own announced cap); per-tuple clients are served unchanged.
+  atomically (useful with --listen 127.0.0.1:0). A connection that sends
+  no scan-open frame within 10 s (or one of another wire protocol version,
+  or another daemon's request) is answered with an error frame and closed.
+  Each scan ships columnar blocks of at most 512 tuples and logs one
+  summary line (rows scanned, tuples shipped, stop reason:
+  gate/exhausted/client-gone).
 
   coordinator hands out non-overlapping id-base leases (and one shared
   namespace label, --namespace, stamped into every served hello) to
@@ -214,7 +210,7 @@ fn usage() -> &'static str {
   connection so a stalled reader is shed instead of pinning a worker
   forever.
 
-  ttk admin manages a running serve daemon over the same port (wire v6):
+  ttk admin manages a running serve daemon over the same port:
   `stats` prints the resident roster (per-dataset epoch, segment count,
   last compaction epoch) and result-cache counters; `register NAME=FILE.csv`
   imports a CSV server-side and makes it resident (the server must have
@@ -681,8 +677,7 @@ fn resolve_dataset(
         let mut dataset = RemoteShardDataset::new(remote_shards)
             .with_prefetch(prefetch)
             .with_connect_options(parse_connect_options(flags)?)
-            .with_pushdown(!flags.contains_key("no-pushdown"))
-            .with_bound_update_every(get_parse(flags, "bound-update-every", 64u64)?.max(1));
+            .with_pushdown(!flags.contains_key("no-pushdown"));
         if !shard_files.is_empty() {
             // Local shards merged into the same relation: hashed group keys
             // (matching the serving side) and the caller-provided id base.
@@ -855,16 +850,14 @@ fn obtain_lease(coordinator: &str, rows: u64, label: &str) -> Result<ShardAssign
 }
 
 /// The `ttk serve-shard` handler on the shared daemon runtime: every
-/// connection gets a fresh replay of the resolved dataset through the
-/// version-negotiating [`serve_stream`] — a pushdown client announcing the
-/// query gets the gate-bounded replay over a v3 session, anything else the
-/// full replay behind the daemon's v1/v2 hello (with the assignment
-/// advertised when the daemon holds one). Failures — a poisoned socket, a
-/// dataset open error — are isolated to their connection by the runtime.
+/// connection gets a fresh scan of the resolved dataset through
+/// [`serve_stream`] — gate-bounded or full-stream as the client's scan-open
+/// asks, with the assignment advertised when the daemon holds one.
+/// Failures — a refused opening frame, a poisoned socket, a dataset open
+/// error — are isolated to their connection by the runtime.
 struct ShardHandler {
     dataset: Dataset,
     assignment: Option<ShardAssignment>,
-    options: ServeOptions,
 }
 
 impl ConnectionHandler for ShardHandler {
@@ -880,16 +873,14 @@ impl ConnectionHandler for ShardHandler {
     ) -> Result<String, String> {
         self.dataset
             .open()
-            .and_then(|mut handle| {
-                serve_stream(stream, &mut handle, self.assignment.as_ref(), &self.options)
-            })
+            .and_then(|mut handle| serve_stream(stream, &mut handle, self.assignment.as_ref()))
             .map(|summary| {
                 format!(
                     "scanned {} rows, shipped {} tuples, stopped: {} ({})",
                     summary.scanned,
                     summary.shipped,
                     summary.reason,
-                    if summary.pushdown {
+                    if summary.gated {
                         "scan-gate pushdown"
                     } else {
                         "full replay"
@@ -922,18 +913,11 @@ fn cmd_serve_shard(args: &[String]) -> Result<(), String> {
     if max_parallel == 0 {
         return Err("--max-parallel must be at least 1".to_string());
     }
-    let serve_options = ServeOptions {
-        pushdown_wait: Duration::from_millis(get_parse(&flags, "pushdown-wait-ms", 25u64)?.max(1)),
-        block_tuples: get_parse(&flags, "block-tuples", ServeOptions::default().block_tuples)?
-            .max(1),
-        ..ServeOptions::default()
-    };
     let csv_options = parse_csv_options(&flags);
 
     // The daemon's assignment: a coordinator lease (id base + namespace),
     // or an operator-pinned namespace with the operator's --id-base. Served
-    // in a v2 hello so clients can cross-check their shard set; absent both,
-    // the daemon speaks plain v1 hellos that any client decodes.
+    // in every hello so clients can cross-check their shard set.
     let assignment: Option<ShardAssignment> = match get(&flags, "coordinator") {
         Some(coordinator) => {
             if get(&flags, "id-base").is_some() {
@@ -992,7 +976,6 @@ fn cmd_serve_shard(args: &[String]) -> Result<(), String> {
     let handler = ShardHandler {
         dataset,
         assignment,
-        options: serve_options,
     };
     let daemon_options = DaemonOptions {
         workers: max_parallel,
@@ -1251,13 +1234,19 @@ impl ConnectionHandler for CoordinatorHandler {
         control: &DaemonControl<'_>,
     ) -> Result<String, String> {
         let (registry, delivered) = worker;
-        // Per-registration error isolation: a malformed or stalled
-        // registrant is logged and dropped; it never kills the lease loop
-        // (the read timeout bounds how long it can stall the line).
+        // Per-registration error isolation: a malformed, stale or stalled
+        // registrant gets an error frame and is dropped; it never kills the
+        // lease loop (the read timeout bounds how long it can stall the
+        // line).
         let (rows, label, lease) = stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .map_err(|e| e.to_string())
-            .and_then(|_| wire::read_register(&mut (&stream)).map_err(|e| e.to_string()))
+            .and_then(|_| {
+                wire::read_register(&mut (&stream)).map_err(|e| {
+                    let _ = wire::write_query_error(&mut (&stream), &e.to_string());
+                    e.to_string()
+                })
+            })
             .and_then(|(rows, label)| {
                 let lease = registry.register(rows);
                 wire::write_lease(&mut (&stream), &lease)
@@ -1314,7 +1303,7 @@ fn cmd_coordinator(args: &[String]) -> Result<(), String> {
 }
 
 /// `ttk admin`: ships one management verb to a running `ttk serve` daemon
-/// over the wire-v6 admin plane and prints the server's report.
+/// over the admin plane and prints the server's report.
 fn cmd_admin(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse_flags(args)?;
     let server = get(&flags, "server").ok_or("--server HOST:PORT is required")?;
@@ -2333,13 +2322,13 @@ mod tests {
         let server = std::thread::spawn(move || run(&server_args));
         let addr = poll_port_file(&port_file);
 
-        // The stalled client: connects first, reads only the 14-byte hello
-        // frame, then holds the connection open without reading further —
-        // the replay of 30k tuples cannot fit the socket buffers, so its
-        // worker blocks mid-write until we hang up.
-        let mut stalled = std::net::TcpStream::connect(&addr).unwrap();
-        let mut hello = [0u8; 14];
-        std::io::Read::read_exact(&mut stalled, &mut hello).unwrap();
+        // The stalled client: connects first, opens a full-stream scan,
+        // reads only the hello frame, then holds the connection open
+        // without reading further — the 30k-tuple scan cannot fit the
+        // socket buffers, so its worker blocks mid-write until we hang up.
+        let stalled = std::net::TcpStream::connect(&addr).unwrap();
+        wire::write_scan_open(&mut (&stalled), &wire::PushdownQuery { k: 0, p_tau: 0.0 }).unwrap();
+        ttk_uncertain::WireReader::new(&stalled).hello().unwrap();
 
         // The local reference: the same file imported exactly as the daemon
         // imports it (hashed group keys, id base 0).
@@ -2699,7 +2688,7 @@ mod tests {
         let client = RemoteQueryClient::new(addr.as_str());
         let cold = client.execute("feed", &query).unwrap();
         assert!(!cold.cache_hit, "first query must execute");
-        assert_eq!(cold.epoch, Some(1), "three sealed rows mean epoch 1");
+        assert_eq!(cold.epoch, 1, "three sealed rows mean epoch 1");
         assert_eq!(cold.answer.distribution.len(), 1);
         let cached = client.execute("feed", &query).unwrap();
         assert!(cached.cache_hit, "same epoch, same shape: cache hit");
@@ -2765,7 +2754,7 @@ mod tests {
         // misses and sees the shifted distribution.
         let reheated = client.execute("feed", &query).unwrap();
         assert!(!reheated.cache_hit, "epoch 3 is a different cache key");
-        assert_eq!(reheated.epoch, Some(3));
+        assert_eq!(reheated.epoch, 3);
         assert_eq!(reheated.answer.distribution, shifted.answer.distribution);
 
         // `ttk append --file` scores a CSV locally and stages it (no seal:
@@ -3131,7 +3120,7 @@ mod tests {
         std::fs::remove_file(&data).ok();
     }
 
-    /// The wire-v6 admin plane against a live daemon: stats, runtime
+    /// The admin plane against a live daemon: stats, runtime
     /// registration (guarded by the same duplicate-name check as startup),
     /// reload picking up a rewritten source file, and unregister — while
     /// the original resident keeps answering throughout.
@@ -3246,7 +3235,7 @@ mod tests {
     }
 
     /// Live-log compaction over the admin plane: seal three segments, fold
-    /// them into one, and the merged answer (and its v6 plan tail) stays
+    /// them into one, and the merged answer (and its plan tail) stays
     /// bit-identical while the segment count drops to one.
     #[test]
     fn admin_compacts_a_live_dataset_over_the_wire() {
@@ -3293,9 +3282,9 @@ mod tests {
         }
         assert_eq!(epoch, 3);
 
-        // The fragmented answer, with the v6 live tail on the wire.
+        // The fragmented answer, with the live tail on the wire.
         let fragmented = client.execute("stream", &query).unwrap();
-        assert_eq!(fragmented.epoch, Some(3));
+        assert_eq!(fragmented.epoch, 3);
         assert_eq!(fragmented.live_segments, Some(3));
         assert_eq!(fragmented.compacted_epoch, Some(0), "never compacted");
 
@@ -3316,7 +3305,7 @@ mod tests {
         // fragmented run's cached answer.
         let compacted = client.execute("stream", &query).unwrap();
         assert!(!compacted.cache_hit);
-        assert_eq!(compacted.epoch, Some(4));
+        assert_eq!(compacted.epoch, 4);
         assert_eq!(compacted.live_segments, Some(1));
         assert_eq!(compacted.compacted_epoch, Some(4));
         assert_eq!(
@@ -3410,11 +3399,12 @@ mod tests {
         let server = std::thread::spawn(move || run(&server_args));
         let addr = poll_port_file(&port_file);
 
-        // The stalled reader: connects, announces nothing, reads nothing.
-        // After the pushdown grace the server replays 200k tuples into the
-        // socket until the kernel buffers fill, then the 200 ms write
-        // timeout sheds the connection and frees the worker.
+        // The stalled reader: connects, opens a full-stream scan and reads
+        // nothing. The server writes 200k tuples into the socket until the
+        // kernel buffers fill, then the 200 ms write timeout sheds the
+        // connection and frees the worker.
         let stalled = TcpStream::connect(&addr).unwrap();
+        wire::write_scan_open(&mut (&stalled), &wire::PushdownQuery { k: 0, p_tau: 0.0 }).unwrap();
         std::thread::sleep(Duration::from_millis(100));
 
         // The real query completes on the single worker the stall would
@@ -3438,23 +3428,21 @@ mod tests {
         std::fs::remove_file(&data).ok();
     }
 
-    /// A v5 client (the previous wire revision) against a v6 server: the
-    /// result comes back in v5 framing with no v6 tail — the shared
-    /// cursor's trailing-byte check and the post-end EOF prove it — and
-    /// decodes bit-identically to the v6 client's answer.
+    /// Each daemon answers the other daemon's opening frame with a "wrong
+    /// daemon" error frame — decoded by the clients as a server-answered
+    /// refusal, not a corrupt frame, and never retried or hung on.
     #[test]
-    fn v5_clients_read_byte_identical_results_from_a_v6_server() {
+    fn daemons_answer_each_others_opening_frames_as_the_wrong_daemon() {
         let dir = std::env::temp_dir();
-        let data = dir.join("ttk_cli_test_v5_compat.csv");
-        std::fs::write(
-            &data,
-            "score,probability\n100,1.0\n90,0.5\n80,0.25\n70,0.125\n",
-        )
-        .unwrap();
-        let port_file = dir.join("ttk_cli_test_v5_compat_port");
-        std::fs::remove_file(&port_file).ok();
-        let spec = format!("data={}", data.to_string_lossy());
-        let server_args = s(&[
+        let data = dir.join("ttk_cli_test_wrong_daemon.csv");
+        std::fs::write(&data, "score,probability\n100,1.0\n90,0.5\n80,0.25\n").unwrap();
+        let path = data.to_string_lossy().to_string();
+        let spec = format!("data={path}");
+        let serve_port = dir.join("ttk_cli_test_wrong_daemon_serve_port");
+        let shard_port = dir.join("ttk_cli_test_wrong_daemon_shard_port");
+        std::fs::remove_file(&serve_port).ok();
+        std::fs::remove_file(&shard_port).ok();
+        let serve_args = s(&[
             "serve",
             &spec,
             "--score",
@@ -3462,51 +3450,65 @@ mod tests {
             "--listen",
             "127.0.0.1:0",
             "--port-file",
-            &port_file.to_string_lossy(),
+            &serve_port.to_string_lossy(),
             "--max-conns",
-            "2",
+            "1",
         ]);
-        let server = std::thread::spawn(move || run(&server_args));
-        let addr = poll_port_file(&port_file);
+        let shard_args = s(&[
+            "serve-shard",
+            &path,
+            "--score",
+            "score",
+            "--listen",
+            "127.0.0.1:0",
+            "--port-file",
+            &shard_port.to_string_lossy(),
+            "--max-conns",
+            "1",
+        ]);
+        let query_daemon = std::thread::spawn(move || run(&serve_args));
+        let shard_daemon = std::thread::spawn(move || run(&shard_args));
+        let serve_addr = poll_port_file(&serve_port);
+        let shard_addr = poll_port_file(&shard_port);
+        // Default retries: a retried refusal would find the one-connection
+        // daemons gone and report the attempts instead of the refusal.
+        let connect = ConnectOptions::default().with_timeout(Duration::from_secs(5));
+        let query = TopkQuery::new(2).with_p_tau(1e-3).with_u_topk(false);
 
-        // The hand-rolled v5 exchange: pin the request version and decode
-        // with the shared reader, whose frame cursor rejects trailing bytes
-        // — a v6 tail smuggled into the header frame would fail the decode.
-        let query = TopkQuery::new(2).with_p_tau(1e-6);
-        let mut request = ttk_core::request_for("data", &query);
-        request.version = wire::WIRE_VERSION_V5;
-        let stream = TcpStream::connect(&addr).unwrap();
-        wire::write_query_request(&mut (&stream), &request).unwrap();
-        let mut reader = std::io::BufReader::new(&stream);
-        let result = wire::read_query_result(&mut reader).unwrap();
-        assert_eq!(result.version, wire::WIRE_VERSION_V5);
-        assert!(!result.live, "v5 results carry no live tail");
-        assert_eq!(result.live_segments, 0);
-        assert_eq!(result.compacted_epoch, 0);
-        // After the end frame the server has nothing more to say: EOF, not
-        // surplus v6 bytes.
-        use std::io::Read as _;
-        let mut surplus = [0u8; 1];
-        assert_eq!(
-            reader.read(&mut surplus).unwrap_or(0),
-            0,
-            "no bytes may follow a v5 result"
+        // A shard scan-open at the query daemon.
+        let err = Session::new()
+            .execute(
+                &RemoteShardDataset::new([serve_addr])
+                    .with_connect_options(connect.clone())
+                    .into_dataset(),
+                &query,
+            )
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("remote source failed")
+                && err.contains("wrong daemon: the connection opened with frame kind 7")
+                && !err.contains("attempt"),
+            "{err}"
         );
-        drop(reader);
-        drop(stream);
 
-        // The modern client sees the same answer bit for bit.
-        let modern = RemoteQueryClient::new(addr.as_str())
+        // A query request at the shard server.
+        let err = RemoteQueryClient::new(shard_addr)
+            .with_connect_options(connect)
             .execute("data", &query)
-            .unwrap();
-        let (v5_answer, v5_cache_hit) = ttk_core::answer_from_wire(result);
-        assert!(!v5_cache_hit, "the cold v5 run executed");
-        assert_eq!(v5_answer.distribution, modern.answer.distribution);
-        assert_eq!(v5_answer.typical, modern.answer.typical);
-        assert_eq!(v5_answer.scan_depth, modern.answer.scan_depth);
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("remote query failed")
+                && err.contains("wrong daemon: the connection opened with frame kind 10")
+                && !err.contains("attempt"),
+            "{err}"
+        );
 
-        server.join().unwrap().unwrap();
-        std::fs::remove_file(&port_file).ok();
+        query_daemon.join().unwrap().unwrap();
+        shard_daemon.join().unwrap().unwrap();
+        std::fs::remove_file(&serve_port).ok();
+        std::fs::remove_file(&shard_port).ok();
         std::fs::remove_file(&data).ok();
     }
 }

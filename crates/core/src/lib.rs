@@ -25,10 +25,11 @@
 //!   `explain` (now with observed-vs-estimated scan-depth drift).
 //! * [`remote`] — [`RemoteShardDataset`]: shard streams decoded from other
 //!   processes over the wire protocol of `ttk-uncertain`, merged (optionally
-//!   prefetched, optionally together with local shards) into one scan; opens
-//!   connections in v3 query mode so servers ship only the Theorem-2 prefix.
-//! * [`serve`] — the server side of scan-gate pushdown: [`serve_stream`]
-//!   negotiates v1/v2/v3 per connection and replays a shard through the
+//!   prefetched, optionally together with local shards) into one scan; every
+//!   connection opens with the query's (k, pτ) so servers ship only the
+//!   Theorem-2 prefix.
+//! * [`serve`] — the server side of a shard scan: [`serve_stream`] reads a
+//!   connection's scan-open frame and ships the shard through the
 //!   conservative [`ShardScanGate`] bound.
 //! * [`daemon`] — the shared daemon runtime all three serving binaries run
 //!   on: listener setup with atomic port files, the non-blocking accept
@@ -119,7 +120,7 @@ pub use registry::{CacheKey, DatasetImporter, DatasetLoader, DatasetRegistry, Re
 pub use remote::{ConnectOptions, RemoteShardDataset};
 pub use scan::{RankScan, ScanPrefix, FIRST_BLOCK_TUPLES, MAX_BLOCK_TUPLES};
 pub use scan_depth::{scan_depth, stopping_threshold, GateMeter, ScanGate, ShardScanGate};
-pub use serve::{serve_stream, ServeOptions, ServeSummary, StopReason};
+pub use serve::{serve_stream, ServeSummary, StopReason, SCAN_OPEN_WAIT};
 pub use session::{
     cost_descending_order, estimated_cost, estimated_scan_depth, BatchOptions, BatchOrdering,
     Dataset, DatasetPlan, DatasetProvider, PlanDescription, QueryJob, ScanPath, ScanSpec, Session,

@@ -12,7 +12,7 @@
 //!
 //! Three layers live here:
 //!
-//! * conversions between the engine types and the v4 wire structs —
+//! * conversions between the engine types and the wire structs —
 //!   [`request_for`] / [`query_from_request`] and [`answer_to_wire`] /
 //!   [`answer_from_wire`]. The wire codec preserves raw IEEE-754 bits and
 //!   per-line witnesses, so a decoded answer compares equal to the answer
@@ -29,13 +29,13 @@
 //!   depth and cache outcome into a [`PlanDescription`] for
 //!   `ttk explain --server --after`.
 //!
-//! Like the v3 pushdown handshake, the client speaks first. A v4 daemon
-//! answers anything that is not a query-request frame with an error frame
-//! and closes, so pre-v4 peers fail cleanly instead of hanging; a v4 client
-//! pointed at a shard server decodes the unexpected hello as a clean error.
+//! As on every connection of the wire protocol, the client speaks first. A
+//! daemon answers an opening frame it cannot serve — another protocol
+//! version, a shard scan-open, garbage — with one error frame and closes,
+//! so a mismatched peer fails cleanly instead of hanging.
 //!
-//! The v5 surface widens one connection's first frame to a [`ClientRequest`]
-//! — query, append, or subscribe — dispatched by [`serve_client`]:
+//! One connection's first frame is a [`ClientRequest`] — query, append,
+//! subscribe or admin — dispatched by [`serve_client`]:
 //!
 //! * appends land on a registry-resident live dataset's
 //!   [`AppendLog`](crate::live::AppendLog) (optionally sealing), bump the
@@ -47,17 +47,13 @@
 //!   notification + full result **only when the answer distribution
 //!   actually shifted** ([`answer_hash`] compares distributions, not scan
 //!   bookkeeping);
-//! * results are epoch-stamped, and the daemon echoes the client's spoken
-//!   protocol version, so pre-v5 clients are served byte-identical v4
-//!   results.
+//! * admin requests carry a lifecycle verb — `stats`, `register`,
+//!   `unregister`, `reload`, `compact` — dispatched to [`serve_admin`],
+//!   which mutates the shared [`DatasetRegistry`] /
+//!   [`AppendLog`](crate::live::AppendLog) and answers with a human-readable
+//!   report.
 //!
-//! The v6 surface adds the **admin plane**: a [`ClientRequest::Admin`] frame
-//! carries a lifecycle verb — `stats`, `register`, `unregister`, `reload`,
-//! `compact` — dispatched by [`serve_client`] to [`serve_admin`], which
-//! mutates the shared [`DatasetRegistry`] / [`AppendLog`](crate::live::AppendLog)
-//! and answers with a human-readable report. Still client-speaks-first: a
-//! server never emits a v6 byte unless the client sent one, so v5-and-older
-//! peers interop byte-identically. v6 results additionally carry the
+//! Every result carries the dataset epoch, the cache generation and the
 //! live-scan tail (segment count + last compaction epoch) for
 //! `explain --after`.
 
@@ -72,8 +68,7 @@ use std::time::Duration;
 
 use ttk_uncertain::wire::{
     self, AdminRequest, AdminVerb, AppendAck, AppendRequest, ClientRequest, Notification,
-    QueryRequest, QueryResult, SubscribeRequest, WireTypical, WireUTopk, WIRE_VERSION_V5,
-    WIRE_VERSION_V6,
+    QueryRequest, QueryResult, SubscribeRequest, WireTypical, WireUTopk,
 };
 use ttk_uncertain::{CoalescePolicy, Error, Result, ScoreDistribution, SourceTuple};
 
@@ -144,7 +139,6 @@ pub fn coalesce_from_code(code: u8) -> Result<CoalescePolicy> {
 /// The wire request for `query` against the resident dataset `dataset`.
 pub fn request_for(dataset: &str, query: &TopkQuery) -> QueryRequest {
     QueryRequest {
-        version: WIRE_VERSION_V6,
         dataset: dataset.to_string(),
         k: query.k as u64,
         p_tau: query.p_tau,
@@ -178,12 +172,10 @@ pub fn query_from_request(request: &QueryRequest) -> Result<TopkQuery> {
 }
 
 /// Flattens a finished answer into the wire result, tagged with whether it
-/// came from the result cache. The result speaks v5 with a zero
-/// epoch/generation; the serving path overwrites all three (echoing the
-/// client's version, stamping the dataset epoch and cache generation).
+/// came from the result cache. The epoch, cache generation and live tail
+/// are zero; the serving path stamps them.
 pub fn answer_to_wire(answer: &QueryAnswer, cache_hit: bool) -> QueryResult {
     QueryResult {
-        version: WIRE_VERSION_V5,
         epoch: 0,
         cache_generation: 0,
         live: false,
@@ -398,7 +390,7 @@ fn serve_decoded_query(
         }
     };
 
-    // The live-scan tail for v6 results and the daemon's summary line.
+    // The live-scan tail for the result and the daemon's summary line.
     let live_meta = registry.live(&request.dataset).map(|log| {
         let snapshot = log.snapshot();
         (snapshot.segment_count() as u64, snapshot.compacted_epoch())
@@ -406,10 +398,6 @@ fn serve_decoded_query(
 
     let cache_generation = cache.generation();
     let mut result = answer_to_wire(&answer, cache_hit);
-    // Echo the client's spoken version: a v4 client gets a byte-identical
-    // v4 result, a v5 client additionally gets the epoch/generation tail,
-    // a v6 client additionally gets the live-scan tail.
-    result.version = request.version;
     result.epoch = epoch;
     result.cache_generation = cache_generation;
     if let Some((segments, compacted)) = live_meta {
@@ -558,7 +546,7 @@ pub enum ServeOutcome {
     Append(AppendServeSummary),
     /// A standing-query subscription that has now ended.
     Subscription(SubscriptionSummary),
-    /// A wire-v6 admin-plane request.
+    /// An admin-plane request.
     Admin(AdminServeSummary),
 }
 
@@ -573,9 +561,9 @@ impl fmt::Display for ServeOutcome {
     }
 }
 
-/// Serves one v5 connection, whatever its first frame asks for: a query
-/// (exactly [`serve_query`]'s behaviour), an append to a live dataset, or a
-/// standing-query subscription.
+/// Serves one connection, whatever its first frame asks for: a query
+/// (exactly [`serve_query`]'s behaviour), an append to a live dataset, a
+/// standing-query subscription, or an admin verb.
 ///
 /// `stop` is the daemon's drain flag: a subscription loop re-checks it
 /// every [`QueryServeOptions::subscription_poll`] and closes its push
@@ -912,17 +900,15 @@ pub struct RemoteAnswer {
     pub answer: QueryAnswer,
     /// True when the server answered from its result cache.
     pub cache_hit: bool,
-    /// The dataset epoch the answer is pinned to (`None` from a pre-v5
-    /// server).
-    pub epoch: Option<u64>,
-    /// The server's result-cache generation at answer time (`None` from a
-    /// pre-v5 server).
-    pub cache_generation: Option<u64>,
-    /// Sealed segments behind a live dataset's answer (`None` from a pre-v6
-    /// server or for a static dataset).
+    /// The dataset epoch the answer is pinned to (0 for static datasets).
+    pub epoch: u64,
+    /// The server's result-cache generation at answer time.
+    pub cache_generation: u64,
+    /// Sealed segments behind a live dataset's answer (`None` for a static
+    /// dataset).
     pub live_segments: Option<u64>,
     /// The epoch the live dataset was last compacted at — 0 means never
-    /// (`None` from a pre-v6 server or for a static dataset).
+    /// (`None` for a static dataset).
     pub compacted_epoch: Option<u64>,
 }
 
@@ -1020,13 +1006,8 @@ impl RemoteQueryClient {
     /// Returns [`Error::Source`] with the dial history once the retry budget
     /// is spent.
     pub fn watch(&self, dataset: &str, query: &TopkQuery, max_pushes: u64) -> Result<WatchClient> {
-        // Subscriptions are a v5 exchange (v6 only adds the admin plane and
-        // the one-shot result tail), so the embedded query pins v5 — that
-        // keeps the subscribe frame byte-identical to a v5 client's.
-        let mut wire_query = request_for(dataset, query);
-        wire_query.version = WIRE_VERSION_V5;
         let request = SubscribeRequest {
-            query: wire_query,
+            query: request_for(dataset, query),
             max_pushes,
         };
         let stream = self.retry("remote subscription failed", "subscribing to", || {
@@ -1118,12 +1099,8 @@ impl RemoteQueryClient {
         wire::write_query_request(&mut &stream, request)?;
         let mut reader = BufReader::new(&stream);
         let result = wire::read_query_result(&mut reader)?;
-        let (epoch, cache_generation) = if result.version >= WIRE_VERSION_V5 {
-            (Some(result.epoch), Some(result.cache_generation))
-        } else {
-            (None, None)
-        };
-        let (live_segments, compacted_epoch) = if result.version >= WIRE_VERSION_V6 && result.live {
+        let (epoch, cache_generation) = (result.epoch, result.cache_generation);
+        let (live_segments, compacted_epoch) = if result.live {
             (Some(result.live_segments), Some(result.compacted_epoch))
         } else {
             (None, None)
@@ -1158,14 +1135,14 @@ impl RemoteQueryClient {
             observed_wire_blocks: None,
             observed_wire_block_tuples: None,
             server_cache_hit: Some(remote.cache_hit),
-            dataset_epoch: remote.epoch,
-            server_cache_generation: remote.cache_generation,
+            dataset_epoch: Some(remote.epoch),
+            server_cache_generation: Some(remote.cache_generation),
             live_segments: remote.live_segments.map(|segments| segments as usize),
             last_compaction_epoch: remote.compacted_epoch,
         }
     }
 
-    /// Ships one admin-plane request (wire v6) and returns the server's
+    /// Ships one admin-plane request and returns the server's
     /// plain-text report.
     ///
     /// Retries follow [`execute`](Self::execute)'s discipline: transient
@@ -1409,6 +1386,55 @@ mod tests {
         );
     }
 
+    /// A query request of another protocol version gets one error frame
+    /// naming both versions, then the close — read under a test-side
+    /// timeout, so a daemon that hung instead fails the test.
+    #[test]
+    fn mismatched_request_version_is_refused_naming_both_versions() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("arms the timeout");
+        let mut frame = Vec::new();
+        wire::write_query_request(&mut frame, &request_for("soldiers", &TopkQuery::new(2)))
+            .expect("encodes");
+        // The version is the first payload byte, after length and kind.
+        frame[5] = wire::WIRE_VERSION - 1;
+        std::io::Write::write_all(&mut &client, &frame).expect("sends");
+
+        let (stream, _) = listener.accept().expect("accept");
+        let registry = DatasetRegistry::new();
+        registry
+            .register("soldiers", Dataset::table(soldier_table()))
+            .expect("registers");
+        let outcome = serve_client(
+            stream,
+            &registry,
+            &ResultCache::new(1),
+            &mut Session::new(),
+            &QueryServeOptions::default(),
+            &AtomicBool::new(false),
+        );
+        assert!(outcome.is_err(), "a stale request cannot be served");
+
+        let mut reader = BufReader::new(&client);
+        let err = wire::read_query_result(&mut reader).expect_err("refused");
+        let text = err.to_string();
+        assert!(
+            text.contains("remote query failed")
+                && text.contains(&format!("version {}", wire::WIRE_VERSION - 1))
+                && text.contains(&format!("version {}", wire::WIRE_VERSION)),
+            "got: {text}"
+        );
+        let mut surplus = [0u8; 1];
+        assert_eq!(
+            std::io::Read::read(&mut reader, &mut surplus).expect("clean close"),
+            0,
+            "the server closes after the error frame"
+        );
+    }
+
     #[test]
     fn plan_reports_remote_path_and_server_cache_outcome() {
         let client = RemoteQueryClient::new("example.invalid:4321");
@@ -1419,8 +1445,8 @@ mod tests {
         let remote = RemoteAnswer {
             answer,
             cache_hit: true,
-            epoch: Some(3),
-            cache_generation: Some(2),
+            epoch: 3,
+            cache_generation: 2,
             live_segments: Some(4),
             compacted_epoch: Some(2),
         };

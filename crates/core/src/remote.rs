@@ -3,7 +3,7 @@
 //! A [`RemoteShardDataset`] is the [`DatasetProvider`] of the transport
 //! layer: each configured address is a shard server speaking the
 //! [`wire`](ttk_uncertain::wire) protocol (`ttk serve-shard` on the CLI, or
-//! any program driving a [`WireWriter`](ttk_uncertain::WireWriter)), and
+//! any program driving [`serve_stream`](crate::serve_stream)), and
 //! opening the dataset connects to every server and fuses the decoded
 //! streams — optionally together with locally-opened shard streams — under
 //! the loser-tree k-way merge. Because the wire format carries raw IEEE-754
@@ -30,6 +30,12 @@
 //!   black-holed address fails after a bounded wait instead of hanging a
 //!   `Session` verb forever.
 //!
+//! Every connection opens with a scan-open frame carrying the query's
+//! Theorem-2 parameters, so each server ships only its conservative prefix
+//! (or the whole shard for full-stream queries and with pushdown off), and
+//! the client feeds the merge-side gate's mass back to the servers as the
+//! scan proceeds.
+//!
 //! Opening the dataset reads each connection's hello frame **eagerly**: when
 //! servers attach a [`ShardAssignment`] (coordinator-leased id bases, see
 //! `ttk coordinator`), the per-connection hellos are cross-checked —
@@ -46,7 +52,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ttk_uncertain::wire::{self, PushdownQuery, WIRE_VERSION_V3};
+use ttk_uncertain::wire::{self, PushdownQuery};
 use ttk_uncertain::{
     Error, PrefetchPolicy, Result, ScanHandle, ShardAssignment, SourceTuple, TupleBlock,
     TupleSource, WireReader, WireScanStats,
@@ -121,14 +127,11 @@ pub struct RemoteShardDataset {
     prefetch: PrefetchPolicy,
     connect: ConnectOptions,
     pushdown: bool,
-    wire_blocks: bool,
-    bound_update_every: u64,
 }
 
-/// The per-block tuple cap a pushdown client announces in its kind-19 query
-/// frame. The server ships blocks no larger than the *smaller* of this and
-/// its own `ServeOptions::block_tuples`.
-const CLIENT_BLOCK_TUPLES: u16 = 2048;
+/// A gated connection re-sends the merge-side gate's mass every this many
+/// tuples pulled off it.
+const BOUND_UPDATE_EVERY: u64 = 64;
 
 impl std::fmt::Debug for RemoteShardDataset {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -138,8 +141,6 @@ impl std::fmt::Debug for RemoteShardDataset {
             .field("prefetch", &self.prefetch)
             .field("connect", &self.connect)
             .field("pushdown", &self.pushdown)
-            .field("wire_blocks", &self.wire_blocks)
-            .field("bound_update_every", &self.bound_update_every)
             .finish()
     }
 }
@@ -155,39 +156,17 @@ impl RemoteShardDataset {
             prefetch: PrefetchPolicy::Off,
             connect: ConnectOptions::default(),
             pushdown: true,
-            wire_blocks: true,
-            bound_update_every: 64,
         }
     }
 
     /// Enables or disables scan-gate pushdown (on by default): when enabled,
-    /// every connection opened through a [`Session`](crate::Session)
-    /// announces the query's Theorem-2 parameters up front, so v3 servers
-    /// ship only their conservative prefix instead of the whole shard. v1/v2
-    /// servers ignore the announcement and stream the full replay — results
-    /// are bit-identical either way.
+    /// every connection opened through a [`Session`](crate::Session) opens
+    /// with the query's Theorem-2 parameters, so servers ship only their
+    /// conservative prefix; when disabled, every connection asks for the
+    /// whole shard (the full-replay baseline). Results are bit-identical
+    /// either way.
     pub fn with_pushdown(mut self, pushdown: bool) -> Self {
         self.pushdown = pushdown;
-        self
-    }
-
-    /// Enables or disables columnar block framing on pushdown connections
-    /// (on by default): when enabled, the query announcement asks the server
-    /// to pack the gated prefix into kind-20 block frames instead of one
-    /// frame per tuple. A server that predates blocks rejects the announcement
-    /// and the connection is redialed speaking the plain query — results are
-    /// bit-identical either way. Has no effect when pushdown is off.
-    pub fn with_wire_blocks(mut self, blocks: bool) -> Self {
-        self.wire_blocks = blocks;
-        self
-    }
-
-    /// Sets how often (in tuples pulled off each connection) the client
-    /// re-sends the merge-side gate's accumulated probability mass to v3
-    /// servers, letting their shard gates stop even earlier. Clamped to at
-    /// least 1; default 64.
-    pub fn with_bound_update_every(mut self, every: u64) -> Self {
-        self.bound_update_every = every.max(1);
         self
     }
 
@@ -231,20 +210,15 @@ impl RemoteShardDataset {
     }
 }
 
-/// One dial attempt: resolve, connect under the timeout, optionally announce
-/// the query (pushdown mode — the client speaks first, see
-/// [`ttk_uncertain::wire`]), and decode the hello eagerly so handshake
-/// failures stay retryable. In pushdown mode the connection's write half is
-/// returned alongside the reader **iff** the server answered with a v3
-/// hello; v1/v2 servers never read from the socket, so the write half is
-/// dropped and the stale query frame rots harmlessly in their receive
-/// buffer.
-fn try_dial_query(
+/// One dial attempt: resolve, connect under the timeout, send the
+/// scan-open frame, and decode the hello eagerly so handshake failures stay
+/// retryable. Returns the reader and the connection's write half (for bound
+/// updates).
+fn try_dial(
     addr: &str,
     options: &ConnectOptions,
-    query: Option<&PushdownQuery>,
-    blocks: Option<u16>,
-) -> Result<(WireReader<BufReader<TcpStream>>, Option<TcpStream>)> {
+    query: &PushdownQuery,
+) -> Result<(WireReader<BufReader<TcpStream>>, TcpStream)> {
     let sock_addrs: Vec<_> = addr
         .to_socket_addrs()
         .map_err(|e| Error::Source(format!("resolving {addr}: {e}")))?
@@ -268,57 +242,26 @@ fn try_dial_query(
     stream
         .set_read_timeout(options.read_timeout)
         .map_err(|e| Error::Source(format!("arming read timeout on {addr}: {e}")))?;
-    let mut write_half = match query {
-        Some(query) => {
-            let mut write_half = stream
-                .try_clone()
-                .map_err(|e| Error::Source(format!("cloning the socket to {addr}: {e}")))?;
-            // Announce before reading the hello: the server's protocol
-            // decision is "did the client speak first?". The announcement is
-            // best-effort — a pre-v3 server that served its replay and
-            // closed before our frame landed answers it with a reset, which
-            // surfaces here as a write error while the hello and tuples stay
-            // readable in our receive queue. Downgrade to the legacy replay
-            // and let the hello read decide whether the connection is alive.
-            let sent = match blocks {
-                Some(max_block) => wire::write_query_blocks(&mut write_half, query, max_block),
-                None => wire::write_query(&mut write_half, query),
-            };
-            match sent {
-                Ok(()) => Some(write_half),
-                Err(_) => None,
-            }
-        }
-        None => None,
-    };
+    let mut write_half = stream
+        .try_clone()
+        .map_err(|e| Error::Source(format!("cloning the socket to {addr}: {e}")))?;
+    wire::write_scan_open(&mut write_half, query)?;
     let mut reader = WireReader::new(BufReader::new(stream));
-    let hello = reader.hello()?;
-    if hello.version != WIRE_VERSION_V3 {
-        // A pre-v3 server: it will stream the full shard and never read our
-        // bound updates, so stop sending them.
-        write_half = None;
-    }
+    reader.hello()?;
     Ok((reader, write_half))
 }
 
 /// Dials with retries: transient dial failures and connections lost before
 /// the hello retry under exponential backoff until the budget is spent.
-/// Each attempt re-announces `query` on a fresh connection, so a retry never
-/// resumes a half-spoken handshake.
-///
-/// When `blocks` is set, the first failed handshake also triggers an
-/// immediate redial speaking the plain kind-7 query: a server that predates
-/// block framing strictly rejects the kind-19 announcement and closes before
-/// its hello, and that downgrade redial — not a capability exchange — is how
-/// old servers keep interoperating. The downgrade sticks for the remaining
-/// attempts; a genuinely dead peer fails the plain dial the same way.
+/// Each attempt sends `query` on a fresh connection, so a retry never
+/// resumes a half-spoken handshake. A server that answered the scan-open
+/// with an error frame (another protocol version, the wrong daemon) is not
+/// retried: the connection works, the request is the problem.
 fn dial(
     addr: &str,
     options: &ConnectOptions,
-    query: Option<&PushdownQuery>,
-    blocks: Option<u16>,
-) -> Result<(WireReader<BufReader<TcpStream>>, Option<TcpStream>)> {
-    let mut blocks = blocks.filter(|_| query.is_some());
+    query: &PushdownQuery,
+) -> Result<(WireReader<BufReader<TcpStream>>, TcpStream)> {
     let mut delay = options.backoff;
     let mut first = None;
     let mut last = None;
@@ -327,20 +270,20 @@ fn dial(
             std::thread::sleep(delay);
             delay = delay.saturating_mul(2);
         }
-        match try_dial_query(addr, options, query, blocks) {
+        match try_dial(addr, options, query) {
             Ok(connection) => return Ok(connection),
             Err(e) => {
-                if blocks.take().is_some() {
-                    if let Ok(connection) = try_dial_query(addr, options, query, None) {
-                        return Ok(connection);
-                    }
-                }
                 // Unwrap the Error::Source shell so the final message does
                 // not nest its prefix per attempt.
                 let text = match e {
                     Error::Source(m) => m,
                     other => other.to_string(),
                 };
+                if text.starts_with("remote source failed") {
+                    return Err(Error::Source(format!(
+                        "connecting to shard server {addr}: {text}"
+                    )));
+                }
                 first.get_or_insert(text.clone());
                 last = Some(text);
             }
@@ -365,7 +308,8 @@ fn dial(
 
 /// Cross-checks the hello assignments of every connection: all asserted
 /// namespaces must agree and no two asserted tuple-id ranges may overlap.
-/// Servers that asserted nothing (v1, or v2 without a lease) are skipped.
+/// Servers that asserted nothing (no lease, no pinned namespace) are
+/// skipped.
 fn validate_assignments(
     assignments: &[(String, Option<ShardAssignment>, Option<usize>)],
 ) -> Result<()> {
@@ -419,16 +363,15 @@ fn validate_assignments(
 
 /// One remote connection as the merge sees it: decoded tuples counted into
 /// the shared [`WireScanStats`], with the merge-side gate's mass pushed back
-/// to the server every `cadence` pulls while the write half lives (v3
-/// pushdown connections only — plain and pre-v3 connections carry
-/// `write: None` and just count).
+/// to the server every [`BOUND_UPDATE_EVERY`] pulls while the write half
+/// lives (gated scans only — full-stream connections carry `write: None`
+/// and just count; a dead write half ends the updates, not the scan).
 struct BoundSource {
     reader: WireReader<BufReader<TcpStream>>,
     write: Option<TcpStream>,
     meter: GateMeter,
     last_sent: f64,
     pulls: u64,
-    cadence: u64,
     stats: Arc<WireScanStats>,
     finished: bool,
     /// Frame counts already folded into `stats`, so each harvest only adds
@@ -437,7 +380,7 @@ struct BoundSource {
 }
 
 impl BoundSource {
-    /// Folds newly decoded kind-20 frames into the shared stats. Runs after
+    /// Folds newly decoded block frames into the shared stats. Runs after
     /// every reader call: the reader decodes block frames into its buffer
     /// even when the merge above drains tuple-at-a-time, so pull-site
     /// counting alone would miss the wire framing entirely.
@@ -455,7 +398,7 @@ impl BoundSource {
 impl TupleSource for BoundSource {
     fn next_tuple(&mut self) -> Result<Option<SourceTuple>> {
         self.pulls += 1;
-        if self.write.is_some() && self.pulls.is_multiple_of(self.cadence) {
+        if self.write.is_some() && self.pulls.is_multiple_of(BOUND_UPDATE_EVERY) {
             let mass = self.meter.current();
             // Only growth is worth a frame: the server keeps the max anyway.
             if mass > self.last_sent {
@@ -489,7 +432,8 @@ impl TupleSource for BoundSource {
 
     fn next_block(&mut self, max: usize) -> Result<Option<TupleBlock>> {
         // Blocks are hundreds of tuples, so the bound-update cadence check
-        // runs once per block pull instead of every `cadence` tuples.
+        // runs once per block pull instead of every `BOUND_UPDATE_EVERY`
+        // tuples.
         if self.write.is_some() {
             let mass = self.meter.current();
             if mass > self.last_sent {
@@ -526,31 +470,27 @@ impl TupleSource for BoundSource {
 }
 
 impl RemoteShardDataset {
-    /// The shared open path: dials every address (announcing `query` when in
-    /// pushdown mode), cross-checks the hellos, and fuses the connections —
+    /// The shared open path: dials every address (opening each scan with
+    /// `query`), cross-checks the hellos, and fuses the connections —
     /// wrapped in counting/bounding [`BoundSource`]s — with any local shards.
-    fn open_connections(
-        &self,
-        query: Option<&PushdownQuery>,
-        meter: &GateMeter,
-    ) -> Result<ScanHandle> {
+    fn open_connections(&self, query: &PushdownQuery, meter: &GateMeter) -> Result<ScanHandle> {
         let stats = Arc::new(WireScanStats::default());
         let mut shards: Vec<Box<dyn TupleSource + Send>> =
             Vec::with_capacity(self.addrs.len() + self.local_count);
         let mut assignments = Vec::with_capacity(self.addrs.len());
-        let blocks = self.wire_blocks.then_some(CLIENT_BLOCK_TUPLES);
         for addr in &self.addrs {
-            let (mut reader, write) = dial(addr, &self.connect, query, blocks)?;
+            let (mut reader, write) = dial(addr, &self.connect, query)?;
             let hello = reader.hello().expect("hello decoded during dial").clone();
-            stats.record_connection(write.is_some());
             assignments.push((addr.clone(), hello.assignment, hello.size_hint));
             shards.push(Box::new(BoundSource {
                 reader,
-                write,
+                // A full-stream server has no gate and reads nothing after
+                // the scan-open: unread bound frames would turn its close
+                // into a reset.
+                write: (query.k > 0).then_some(write),
                 meter: meter.clone(),
                 last_sent: 0.0,
                 pulls: 0,
-                cadence: self.bound_update_every.max(1),
                 stats: Arc::clone(&stats),
                 finished: false,
                 reported_frames: (0, 0),
@@ -566,16 +506,14 @@ impl RemoteShardDataset {
 
 impl DatasetProvider for RemoteShardDataset {
     fn open(&self) -> Result<ScanHandle> {
-        // The compatibility path (no query context): full replay, counted
-        // but never gated server-side.
-        self.open_connections(None, &GateMeter::new())
+        // No query context: a full-stream scan, counted but never gated
+        // server-side.
+        self.open_connections(&pushdown_query(0, 0.0, true), &GateMeter::new())
     }
 
     fn open_for(&self, spec: &ScanSpec) -> Result<ScanHandle> {
-        let query = self
-            .pushdown
-            .then(|| pushdown_query(spec.k, spec.p_tau, spec.full_stream));
-        self.open_connections(query.as_ref(), &spec.meter)
+        let query = pushdown_query(spec.k, spec.p_tau, spec.full_stream || !self.pushdown);
+        self.open_connections(&query, &spec.meter)
     }
 
     fn plan(&self) -> DatasetPlan {
@@ -609,9 +547,10 @@ impl DatasetProvider for RemoteShardDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve_stream;
     use crate::{Session, TopkQuery};
     use std::net::TcpListener;
-    use ttk_uncertain::{SourceTuple, UncertainTuple, VecSource, WireWriter};
+    use ttk_uncertain::{SourceTuple, UncertainTuple, VecSource};
 
     fn tuples(n: u64) -> Vec<SourceTuple> {
         (0..n)
@@ -636,12 +575,9 @@ mod tests {
                 let addr = listener.local_addr().unwrap().to_string();
                 std::thread::spawn(move || {
                     let (stream, _) = listener.accept().unwrap();
-                    let hint = Some(shard.len());
-                    // The client may hang up early (gate closed): a write
-                    // failure here is expected, not a test failure.
-                    if let Ok(writer) = WireWriter::new(std::io::BufWriter::new(stream), hint) {
-                        let _ = writer.serve(&mut VecSource::new(shard));
-                    }
+                    // The client may hang up early (gate closed): that is a
+                    // summary, not a test failure.
+                    let _ = serve_stream(stream, &mut VecSource::new(shard), None);
                 });
                 addr
             })
@@ -668,8 +604,6 @@ mod tests {
 
         let dataset = RemoteShardDataset::new(serve_once(shards)).into_dataset();
         let plan = session.explain(&dataset, &query);
-        // The plan optimistically assumes pushdown; the v1 test servers
-        // decline it at open time, which changes nothing about the results.
         assert_eq!(
             plan.path,
             ScanPath::RemotePushdown {

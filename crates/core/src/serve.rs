@@ -1,17 +1,20 @@
-//! The server side of scan-gate pushdown: one accepted `serve-shard`
-//! connection, negotiated and driven end to end.
+//! The server side of a shard scan: one accepted `serve-shard` connection,
+//! driven end to end.
 //!
-//! [`serve_stream`] owns the protocol decision the wire layer documents: a
-//! v3 pushdown client speaks first (a query frame right after connecting),
-//! so the server peeks the socket under a short grace window. Data waiting
-//! → read the query, answer with a v3 hello and stream only the
-//! [`ShardScanGate`]-bounded prefix, draining client bound updates
-//! mid-replay and closing with a stopped-at trailer. Silence → the peer is
-//! a v1/v2 client; serve the full replay exactly as previous releases did.
+//! [`serve_stream`] runs the scan exchange the wire layer documents: the
+//! client speaks first with a scan-open frame (read under
+//! [`SCAN_OPEN_WAIT`]), the server answers with the scan hello and ships
+//! the rank-ordered shard as tuple-block frames, and closes with a
+//! stopped-at trailer. A gated scan (`k > 0`) stops at the
+//! [`ShardScanGate`] bound, draining client bound updates mid-scan; a
+//! full-stream scan (`k = 0`) has no bound to tighten, so it ships the
+//! whole shard without reading the socket again. A connection that
+//! opens with anything else — silence, another protocol version, another
+//! daemon's frame — gets one error frame and is closed.
 //!
-//! The function is transport-specific (`TcpStream`) because the negotiation
-//! is: it needs `peek`, read timeouts, and an independently readable clone
-//! of the write half. Everything protocol-level (frames, gates) lives in
+//! The function is transport-specific (`TcpStream`) because the exchange
+//! is: it needs read timeouts and an independently readable clone of the
+//! write half. Everything protocol-level (frames, gates) lives in
 //! `ttk_uncertain::wire` and [`crate::scan_depth`].
 
 use std::io::{BufWriter, Read};
@@ -23,7 +26,18 @@ use ttk_uncertain::{Error, Result, ShardAssignment, TupleBlock, TupleSource, Wir
 
 use crate::scan_depth::ShardScanGate;
 
-/// How a [`serve_stream`] replay ended.
+/// How long a connection may stay silent before its scan-open frame
+/// arrives — the same default `QueryServeOptions::request_wait` gives query
+/// clients. A silent client is answered with an error frame and closed.
+pub const SCAN_OPEN_WAIT: Duration = Duration::from_secs(10);
+
+/// Most rows packed into one tuple-block frame.
+const BLOCK_ROWS: usize = 512;
+
+/// A gated scan drains client bound updates every this many shipped tuples.
+const DRAIN_EVERY: u64 = 64;
+
+/// How a [`serve_stream`] scan ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// The shard source was drained to its end.
@@ -31,7 +45,7 @@ pub enum StopReason {
     /// The server-side [`ShardScanGate`] proved no later tuple can be in the
     /// merge-side Theorem-2 prefix.
     Gate,
-    /// The client hung up (or its socket died) before the replay finished.
+    /// The client hung up (or its socket died) before the scan finished.
     ClientGone,
 }
 
@@ -45,7 +59,7 @@ impl std::fmt::Display for StopReason {
     }
 }
 
-/// What one connection's replay amounted to — the per-connection summary
+/// What one connection's scan amounted to — the per-connection summary
 /// the `serve-shard` daemon logs, and what the pushdown tests assert on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeSummary {
@@ -53,201 +67,72 @@ pub struct ServeSummary {
     pub scanned: u64,
     /// Tuples framed onto the wire.
     pub shipped: u64,
-    /// Why the replay stopped.
+    /// Why the scan stopped.
     pub reason: StopReason,
-    /// Whether the connection negotiated v3 pushdown.
-    pub pushdown: bool,
+    /// Whether the client opened a gated scan (`k > 0`); `false` for a
+    /// full-stream scan.
+    pub gated: bool,
     /// Bytes framed onto the wire (length prefixes included); best-effort
     /// on [`StopReason::ClientGone`], exact otherwise.
     pub wire_bytes: u64,
 }
 
-/// Knobs for [`serve_stream`].
-#[derive(Debug, Clone, Copy)]
-pub struct ServeOptions {
-    /// How long to wait for a client query frame before falling back to the
-    /// full v1/v2 replay.
-    pub pushdown_wait: Duration,
-    /// Drain client bound updates every this many shipped tuples.
-    pub drain_every: u64,
-    /// Most tuples packed into one block frame when the client negotiates
-    /// columnar blocks (the effective size is the smaller of this and the
-    /// client's announced maximum). Per-tuple clients are unaffected.
-    pub block_tuples: usize,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            pushdown_wait: Duration::from_millis(25),
-            drain_every: 64,
-            block_tuples: 512,
-        }
-    }
-}
-
-/// Serves one accepted shard connection: negotiates the protocol version as
-/// described in the module doc, replays `source` (fully, or up to the
-/// conservative per-shard Theorem-2 bound), and reports what happened.
+/// Serves one accepted shard connection: reads the scan-open frame, scans
+/// `source` (fully, or up to the conservative per-shard Theorem-2 bound),
+/// and reports what happened.
 ///
-/// A vanished client is a normal outcome ([`StopReason::ClientGone`]), not
-/// an error; errors are reserved for a failing `source` (forwarded to the
-/// peer as an error frame first) and for protocol violations.
+/// A client that vanishes mid-scan is a normal outcome
+/// ([`StopReason::ClientGone`]), not an error. Errors are reserved for a
+/// connection that does not open with a valid scan-open frame within
+/// [`SCAN_OPEN_WAIT`] and for a failing `source`; both are answered with an
+/// error frame first.
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on a source failure, a malformed query frame, or local
-/// socket configuration failures.
+/// [`Error::Source`] on a missing or invalid scan-open frame, a source
+/// failure, or local socket configuration failures.
 pub fn serve_stream(
     stream: TcpStream,
     source: &mut dyn TupleSource,
     assignment: Option<&ShardAssignment>,
-    options: &ServeOptions,
 ) -> Result<ServeSummary> {
     stream.set_nonblocking(false).map_err(|e| io_config(&e))?;
     stream
-        .set_read_timeout(Some(options.pushdown_wait.max(Duration::from_millis(1))))
+        .set_read_timeout(Some(SCAN_OPEN_WAIT))
         .map_err(|e| io_config(&e))?;
-    let mut peek = [0u8; 1];
-    match stream.peek(&mut peek) {
-        // The client connected and hung up before saying anything.
-        Ok(0) => Ok(ServeSummary {
-            scanned: 0,
-            shipped: 0,
-            reason: StopReason::ClientGone,
-            pushdown: false,
-            wire_bytes: 0,
-        }),
-        Ok(_) => serve_pushdown(stream, source, assignment, options),
-        Err(e) if would_block(&e) => serve_legacy(stream, source, assignment),
-        Err(_) => Ok(ServeSummary {
-            scanned: 0,
-            shipped: 0,
-            reason: StopReason::ClientGone,
-            pushdown: false,
-            wire_bytes: 0,
-        }),
-    }
-}
-
-fn io_config(e: &std::io::Error) -> Error {
-    Error::Source(format!("serve-stream socket configuration: {e}"))
-}
-
-fn would_block(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// The pre-v3 serving path: full replay behind the v1/v2 hello, bit-exactly
-/// what previous releases sent. A peer write failure means the client went
-/// away, which is a summary, not an error.
-fn serve_legacy(
-    stream: TcpStream,
-    source: &mut dyn TupleSource,
-    assignment: Option<&ShardAssignment>,
-) -> Result<ServeSummary> {
-    stream.set_read_timeout(None).map_err(|e| io_config(&e))?;
-    let hint = source.size_hint();
-    let buffered = BufWriter::new(stream);
-    let writer = match assignment {
-        Some(assignment) => WireWriter::with_assignment(buffered, hint, assignment),
-        None => WireWriter::new(buffered, hint),
-    };
-    let mut writer = match writer {
-        Ok(writer) => writer,
-        Err(_) => {
-            return Ok(ServeSummary {
-                scanned: 0,
-                shipped: 0,
-                reason: StopReason::ClientGone,
-                pushdown: false,
-                wire_bytes: 0,
-            })
+    let opened = wire::read_scan_open(&mut (&stream)).and_then(|query| match query.k {
+        0 => Ok(None),
+        k => ShardScanGate::new(k as usize, query.p_tau).map(Some),
+    });
+    let mut gate = match opened {
+        Ok(gate) => gate,
+        Err(e) => {
+            let _ = wire::write_query_error(&mut &stream, &e.to_string());
+            return Err(e);
         }
     };
-    let mut shipped = 0u64;
-    loop {
-        match source.next_tuple() {
-            Ok(Some(tuple)) => {
-                if writer.write_tuple(&tuple).is_err() {
-                    return Ok(ServeSummary {
-                        scanned: shipped + 1,
-                        shipped,
-                        reason: StopReason::ClientGone,
-                        pushdown: false,
-                        wire_bytes: writer.bytes_written(),
-                    });
-                }
-                shipped += 1;
-            }
-            Ok(None) => {
-                let sent = writer.bytes_written();
-                let (reason, wire_bytes) = match writer.finish() {
-                    Ok(total) => (StopReason::Exhausted, total),
-                    Err(_) => (StopReason::ClientGone, sent),
-                };
-                return Ok(ServeSummary {
-                    scanned: shipped,
-                    shipped,
-                    reason,
-                    pushdown: false,
-                    wire_bytes,
-                });
-            }
-            Err(error) => {
-                let _ = writer.fail(&error.to_string());
-                return Err(error);
-            }
-        }
-    }
-}
 
-/// The v3 query-mode path: read the query frame, answer with the v3 hello,
-/// replay through a [`ShardScanGate`] while draining bound updates off the
-/// client half of the socket, and close with the stopped-at trailer.
-///
-/// A client that announced block capability (the kind-19 query frame) gets
-/// the same gated prefix packed into kind-20 block frames; the gate still
-/// admits tuple by tuple, so scanned/shipped counts and the stopping point
-/// are identical to the per-tuple path.
-fn serve_pushdown(
-    stream: TcpStream,
-    source: &mut dyn TupleSource,
-    assignment: Option<&ShardAssignment>,
-    options: &ServeOptions,
-) -> Result<ServeSummary> {
-    // The query frame is already (at least partially) in the receive buffer;
-    // keep the grace-window timeout for the remainder rather than blocking
-    // forever on a half-written frame from a dying client.
-    let (query, max_block) = wire::read_query_negotiated(&mut (&stream))?;
-    let mut gate = match query.k {
-        0 => None,
-        k => Some(ShardScanGate::new(k as usize, query.p_tau)?),
-    };
-    let block_cap = max_block.map(|m| (m as usize).min(options.block_tuples.max(1)));
-
-    // Bound updates are drained with tiny timed reads mid-replay.
+    // A gated scan drains bound updates with tiny timed reads mid-scan.
     stream
         .set_read_timeout(Some(Duration::from_millis(1)))
         .map_err(|e| io_config(&e))?;
     let read_half = stream.try_clone().map_err(|e| io_config(&e))?;
-    let writer = WireWriter::v3(BufWriter::new(stream), source.size_hint(), assignment);
-    let mut writer = match writer {
+    let gated = gate.is_some();
+    let mut writer = match WireWriter::new(BufWriter::new(stream), source.size_hint(), assignment) {
         Ok(writer) => writer,
         Err(_) => {
             return Ok(ServeSummary {
                 scanned: 0,
                 shipped: 0,
                 reason: StopReason::ClientGone,
-                pushdown: true,
+                gated,
                 wire_bytes: 0,
             })
         }
     };
 
+    // The gate admits tuple by tuple, so scanned/shipped counts and the
+    // stopping point do not depend on the block framing.
     let mut parser = ControlParser::new();
     let mut updates_dead = false;
     let mut scanned = 0u64;
@@ -268,28 +153,21 @@ fn serve_pushdown(
                 break StopReason::Gate;
             }
         }
-        match block_cap {
-            None => {
-                if writer.write_tuple(&tuple).is_err() {
-                    break StopReason::ClientGone;
-                }
+        block.push(&tuple);
+        if block.len() >= BLOCK_ROWS {
+            if writer.write_block(&block).is_err() {
+                break StopReason::ClientGone;
             }
-            Some(cap) => {
-                block.push(&tuple);
-                if block.len() >= cap {
-                    if writer.write_block(&block).is_err() {
-                        break StopReason::ClientGone;
-                    }
-                    block.clear();
-                }
-            }
+            block.clear();
         }
         shipped += 1;
-        if !updates_dead && shipped.is_multiple_of(options.drain_every) {
-            match drain_bounds(&read_half, &mut parser, gate.as_mut()) {
-                Ok(false) => {}
-                Ok(true) => break StopReason::ClientGone,
-                Err(_) => updates_dead = true,
+        if let Some(gate) = &mut gate {
+            if !updates_dead && shipped.is_multiple_of(DRAIN_EVERY) {
+                match drain_bounds(&read_half, &mut parser, gate) {
+                    Ok(false) => {}
+                    Ok(true) => break StopReason::ClientGone,
+                    Err(_) => updates_dead = true,
+                }
             }
         }
     };
@@ -320,9 +198,13 @@ fn serve_pushdown(
         scanned,
         shipped,
         reason,
-        pushdown: true,
+        gated,
         wire_bytes,
     })
+}
+
+fn io_config(e: &std::io::Error) -> Error {
+    Error::Source(format!("serve-stream socket configuration: {e}"))
 }
 
 /// Reads whatever control bytes are waiting (bounded by the 1 ms read
@@ -331,7 +213,7 @@ fn serve_pushdown(
 fn drain_bounds(
     read_half: &TcpStream,
     parser: &mut ControlParser,
-    mut gate: Option<&mut ShardScanGate>,
+    gate: &mut ShardScanGate,
 ) -> Result<bool> {
     let mut buf = [0u8; 256];
     loop {
@@ -343,25 +225,28 @@ fn drain_bounds(
                     break;
                 }
             }
-            Err(e) if would_block(&e) => break,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                break
+            }
             Err(e) => return Err(Error::Source(format!("draining bound updates: {e}"))),
         }
     }
     while let Some(frame) = parser.next_frame()? {
         match frame {
-            ControlFrame::Bound(mass) => {
-                if let Some(gate) = gate.as_deref_mut() {
-                    gate.update_remote_mass(mass);
-                }
-            }
+            ControlFrame::Bound(mass) => gate.update_remote_mass(mass),
         }
     }
     Ok(false)
 }
 
-/// The [`PushdownQuery`] a client announces for a given query shape:
-/// `k == 0` (stream everything) when the consumer needs the full stream
-/// (U-Topk witnesses, exhaustive enumeration), the real Theorem-2
+/// The [`PushdownQuery`] a client opens a scan with for a given query
+/// shape: `k == 0` (stream everything) when the consumer needs the full
+/// stream (U-Topk witnesses, exhaustive enumeration), the real Theorem-2
 /// parameters otherwise.
 pub fn pushdown_query(k: usize, p_tau: f64, full_stream: bool) -> PushdownQuery {
     if full_stream {

@@ -697,14 +697,14 @@ pub struct PlanDescription {
     pub dataset_epoch: Option<u64>,
     /// The serving daemon's result-cache generation at answer time
     /// (advances whenever an append/seal invalidates cached epochs).
-    /// `None` for local execution or pre-v5 servers.
+    /// `None` for local execution.
     pub server_cache_generation: Option<u64>,
     /// Sealed segments under the live snapshot this plan scans — local live
-    /// datasets report their snapshot, v6 servers report it in the result
-    /// tail. `None` for static datasets and pre-v6 servers.
+    /// datasets report their snapshot, servers report it in the result
+    /// tail. `None` for static datasets.
     pub live_segments: Option<usize>,
     /// Epoch of the live log's most recent LSM-style compaction (`0` when it
-    /// was never compacted). `None` for static datasets and pre-v6 servers.
+    /// was never compacted). `None` for static datasets.
     pub last_compaction_epoch: Option<u64>,
 }
 

@@ -1,8 +1,8 @@
 //! Property-based validation of the columnar block pull path: for **any**
 //! table, partitioning and block-ask schedule, `next_block` composed through
 //! every source kind — in-memory vectors, loser-tree merges of shards
-//! (including all-ties partitions), feed channels, the wire codec in both
-//! framings, and a negotiated loopback remote scan — yields the
+//! (including all-ties partitions), feed channels, the wire codec's block
+//! frames, and a loopback remote scan — yields the
 //! bit-identical tuple sequence of the tuple-at-a-time path; and the gated
 //! rank scan admits the identical Theorem-2 prefix with the identical
 //! stopping depth even when the gate closes in the middle of a pulled
@@ -12,8 +12,8 @@ use std::net::TcpListener;
 
 use proptest::prelude::*;
 use ttk_core::{
-    serve_stream, Dataset, QueryAnswer, RankScan, RemoteShardDataset, ScanGate, ServeOptions,
-    Session, TopkQuery, MAX_BLOCK_TUPLES,
+    serve_stream, Dataset, QueryAnswer, RankScan, RemoteShardDataset, ScanGate, ScanPath, Session,
+    TopkQuery, MAX_BLOCK_TUPLES,
 };
 use ttk_uncertain::{
     GroupKey, MergeSource, Result, SourceTuple, TupleFeed, TupleSource, UncertainTable, VecSource,
@@ -148,9 +148,9 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// The wire codec: the same relation encoded as per-tuple frames and as
-    /// kind-20 block frames, then drained scalar and block-wise — all four
-    /// framing x pull combinations decode the bit-identical sequence.
+    /// The wire codec: the same relation encoded as block frames of any
+    /// size, then drained scalar and block-wise — both pull modes decode
+    /// the bit-identical sequence whatever the framing.
     #[test]
     fn wire_framings_match_scalar(
         table in table_with(4),
@@ -158,27 +158,15 @@ proptest! {
         encode_block in 1usize..600,
     ) {
         let expected = scalar_drain(&mut table.to_source());
-        let mut tuple_wire = Vec::new();
-        let mut writer = WireWriter::new(&mut tuple_wire, Some(table.len())).unwrap();
-        let mut source = table.to_source();
-        while let Some(t) = source.next_tuple().unwrap() {
-            writer.write_tuple(&t).unwrap();
-        }
-        writer.finish().unwrap();
-        let mut block_wire = Vec::new();
-        let mut writer = WireWriter::new(&mut block_wire, Some(table.len())).unwrap();
+        let mut wire = Vec::new();
+        let mut writer = WireWriter::new(&mut wire, Some(table.len()), None).unwrap();
         let mut source = table.to_source();
         while let Some(block) = source.next_block(encode_block).unwrap() {
             writer.write_block(&block).unwrap();
         }
         writer.finish().unwrap();
-        for wire in [&tuple_wire, &block_wire] {
-            prop_assert_eq!(scalar_drain(&mut WireReader::new(&wire[..])), expected.clone());
-            prop_assert_eq!(
-                block_drain(&mut WireReader::new(&wire[..]), &asks),
-                expected.clone()
-            );
-        }
+        prop_assert_eq!(scalar_drain(&mut WireReader::new(&wire[..])), expected.clone());
+        prop_assert_eq!(block_drain(&mut WireReader::new(&wire[..]), &asks), expected);
     }
 
     /// Mid-block gate closure: the block-pulling rank scan admits exactly
@@ -283,8 +271,9 @@ proptest! {
         prop_assert_eq!(prefix.depth(), admitted);
     }
 
-    /// Loopback remote: a negotiated block-frame scan and a per-tuple wire
-    /// scan are both bit-identical to the in-process single-source answer.
+    /// Loopback remote: a block-frame scan served by the production
+    /// [`serve_stream`] — gated, and full-stream with pushdown off — is
+    /// bit-identical to the in-process single-source answer.
     #[test]
     fn remote_block_negotiation_is_bit_identical(
         table in table_with(4),
@@ -300,27 +289,29 @@ proptest! {
             .map(|mut source| {
                 let listener = TcpListener::bind("127.0.0.1:0").unwrap();
                 let addr = listener.local_addr().unwrap().to_string();
-                let options = ServeOptions {
-                    pushdown_wait: std::time::Duration::from_millis(2),
-                    ..ServeOptions::default()
-                };
                 std::thread::spawn(move || {
-                    // One connection per wire mode below.
+                    // One connection per scan mode below.
                     for _ in 0..2 {
                         let Ok((stream, _)) = listener.accept() else {
                             return;
                         };
                         source.rewind();
-                        let _ = serve_stream(stream, &mut source, None, &options);
+                        let _ = serve_stream(stream, &mut source, None);
                     }
                 });
                 addr
             })
             .collect();
-        for wire_blocks in [true, false] {
+        for pushdown in [true, false] {
             let remote = RemoteShardDataset::new(addrs.clone())
-                .with_wire_blocks(wire_blocks)
+                .with_pushdown(pushdown)
                 .into_dataset();
+            let path = if pushdown && !u_topk {
+                ScanPath::RemotePushdown { remote: shards, local: 0 }
+            } else {
+                ScanPath::Remote { remote: shards, local: 0 }
+            };
+            prop_assert_eq!(session.explain(&remote, &query).path, path);
             let answer = session.execute(&remote, &query);
             assert_identical(single.clone(), answer)?;
         }

@@ -5,20 +5,24 @@
 //! U-Topk — to the in-process single-source path, including the adversarial
 //! all-ties case where one tie group crosses every shard (and machine)
 //! boundary. A producer that errors mid-stream must surface as
-//! `Error::Source` on the consumer, never hang or truncate.
+//! `Error::Source` on the consumer, never hang or truncate. Every wire
+//! server here is the production [`serve_stream`].
 
-use std::net::TcpListener;
+use std::io::{BufWriter, Write as _};
+use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use ttk_core::{
-    serve_stream, ConnectOptions, Dataset, QueryAnswer, RemoteShardDataset, ScanPath, ServeOptions,
-    ServeSummary, Session, ShardScanGate, TopkQuery,
+    serve_stream, ConnectOptions, Dataset, QueryAnswer, RemoteShardDataset, ScanPath, ServeSummary,
+    Session, ShardScanGate, TopkQuery, SCAN_OPEN_WAIT,
 };
+use ttk_uncertain::wire::{self, PushdownQuery, WIRE_VERSION};
 use ttk_uncertain::{
     Error, LeaseRegistry, PrefetchPolicy, Result, ScanHandle, ShardAssignment, SourceTuple,
-    TupleFeed, TupleSource, UncertainTable, UncertainTuple, VecSource, WireWriter,
+    TupleBlock, TupleFeed, TupleSource, UncertainTable, UncertainTuple, VecSource, WireReader,
+    WireWriter,
 };
 
 mod support;
@@ -37,26 +41,39 @@ fn partition(table: &UncertainTable, shards: usize) -> Vec<Vec<SourceTuple>> {
     parts
 }
 
-/// Serves each shard over its own loopback listener (one connection) and
-/// returns the addresses.
-fn serve_shards(shards: Vec<Vec<SourceTuple>>) -> Vec<String> {
-    shards
+/// Serves each shard through [`serve_stream`] over its own loopback
+/// listener (one connection each, advertising the shard's assignment when
+/// it has one), reporting every connection's [`ServeSummary`] through the
+/// returned channel. A client hanging up early (gate closed) is a summary,
+/// not an error.
+fn serve_assigned(
+    shards: Vec<(Vec<SourceTuple>, Option<ShardAssignment>)>,
+) -> (Vec<String>, mpsc::Receiver<(usize, ServeSummary)>) {
+    let (sender, receiver) = mpsc::channel();
+    let addrs = shards
         .into_iter()
-        .map(|shard| {
+        .enumerate()
+        .map(|(index, (shard, assignment))| {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap().to_string();
+            let sender = sender.clone();
             std::thread::spawn(move || {
                 let (stream, _) = listener.accept().unwrap();
-                // The client may hang up early (gate closed) — expected.
-                if let Ok(writer) =
-                    WireWriter::new(std::io::BufWriter::new(stream), Some(shard.len()))
-                {
-                    let _ = writer.serve(&mut VecSource::new(shard));
-                }
+                let summary =
+                    serve_stream(stream, &mut VecSource::new(shard), assignment.as_ref()).unwrap();
+                let _ = sender.send((index, summary));
             });
             addr
         })
-        .collect()
+        .collect();
+    (addrs, receiver)
+}
+
+/// [`serve_assigned`] for shards without an assignment.
+fn serve_shards(
+    shards: Vec<Vec<SourceTuple>>,
+) -> (Vec<String>, mpsc::Receiver<(usize, ServeSummary)>) {
+    serve_assigned(shards.into_iter().map(|shard| (shard, None)).collect())
 }
 
 fn assert_identical(
@@ -130,14 +147,12 @@ proptest! {
         let query = TopkQuery::new(k).with_p_tau(1e-3).with_u_topk(false);
         let mut session = Session::new();
         let single = session.execute(&Dataset::stream(table.to_source()), &query);
-        let addrs = serve_shards(partition(&table, shards));
+        let (addrs, _) = serve_shards(partition(&table, shards));
         let mut remote = RemoteShardDataset::new(addrs);
         if prefetch > 0 {
             remote = remote.with_prefetch(PrefetchPolicy::per_shard(prefetch * 8));
         }
         let dataset = remote.into_dataset();
-        // The session plans for pushdown; the v1 servers of this test
-        // decline it at the handshake, changing nothing about the results.
         prop_assert_eq!(
             session.explain(&dataset, &query).path,
             ScanPath::RemotePushdown { remote: shards, local: 0 }
@@ -168,7 +183,7 @@ proptest! {
         assert_identical(single.clone(), prefetched)?;
 
         // Remote loopback.
-        let addrs = serve_shards(partition(&table, shards));
+        let (addrs, _) = serve_shards(partition(&table, shards));
         let served = session.execute(&RemoteShardDataset::new(addrs).into_dataset(), &query);
         assert_identical(single, served)?;
     }
@@ -187,7 +202,7 @@ proptest! {
         let mut parts = partition(&table, shards);
         let local: Vec<Vec<SourceTuple>> = parts.split_off(shards / 2);
         let local_count = local.len();
-        let addrs = serve_shards(parts);
+        let (addrs, _) = serve_shards(parts);
         let dataset = RemoteShardDataset::new(addrs)
             .with_local_shards(local_count, move || {
                 Ok(local
@@ -201,29 +216,6 @@ proptest! {
         let mixed = session.execute(&dataset, &query);
         assert_identical(single, mixed)?;
     }
-}
-
-/// Serves each shard over its own loopback listener with a **v2 hello**
-/// advertising the given assignment, one connection each.
-fn serve_shards_with_assignments(shards: Vec<(Vec<SourceTuple>, ShardAssignment)>) -> Vec<String> {
-    shards
-        .into_iter()
-        .map(|(shard, assignment)| {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap().to_string();
-            std::thread::spawn(move || {
-                let (stream, _) = listener.accept().unwrap();
-                if let Ok(writer) = WireWriter::with_assignment(
-                    std::io::BufWriter::new(stream),
-                    Some(shard.len()),
-                    &assignment,
-                ) {
-                    let _ = writer.serve(&mut VecSource::new(shard));
-                }
-            });
-            addr
-        })
-        .collect()
 }
 
 /// The bare rows of a shard before id assignment: `(score, prob, group)`.
@@ -251,7 +243,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Coordinator-leased id bases — handed out by a [`LeaseRegistry`] in an
-    /// arbitrary registration order and advertised in v2 hellos — yield the
+    /// arbitrary registration order and advertised in scan hellos — yield the
     /// same distributions as the operator passing each shard's cumulative
     /// row count by hand. Scores are distinct, so the rank order (and with
     /// it the scan depth and typical answers) is id-independent.
@@ -292,7 +284,7 @@ proptest! {
 
         let query = TopkQuery::new(k).with_p_tau(1e-3).with_u_topk(false);
         let mut session = Session::new();
-        let operator_addrs = serve_shards(
+        let (operator_addrs, _) = serve_shards(
             parts
                 .iter()
                 .zip(&operator_bases)
@@ -302,13 +294,13 @@ proptest! {
         let operator = session
             .execute(&RemoteShardDataset::new(operator_addrs).into_dataset(), &query)
             .unwrap();
-        let leased_addrs = serve_shards_with_assignments(
+        let (leased_addrs, _) = serve_assigned(
             parts
                 .iter()
                 .zip(&leases)
                 .map(|(part, lease)| {
                     let lease = lease.clone().expect("every shard leased");
-                    (materialize_shard(part, lease.id_base), lease)
+                    (materialize_shard(part, lease.id_base), Some(lease))
                 })
                 .collect(),
         );
@@ -348,11 +340,7 @@ fn late_server_is_reached_via_retry() {
         std::thread::sleep(Duration::from_millis(200));
         let listener = TcpListener::bind(&server_addr).unwrap();
         let (stream, _) = listener.accept().unwrap();
-        if let Ok(writer) =
-            WireWriter::new(std::io::BufWriter::new(stream), Some(server_shard.len()))
-        {
-            let _ = writer.serve(&mut VecSource::new(server_shard));
-        }
+        let _ = serve_stream(stream, &mut VecSource::new(server_shard), None);
     });
     let query = TopkQuery::new(2).with_p_tau(1e-3).with_u_topk(false);
     let mut session = Session::new();
@@ -416,11 +404,7 @@ fn mid_hello_disconnects_are_retried() {
             drop(stream);
         }
         let (stream, _) = listener.accept().unwrap();
-        if let Ok(writer) =
-            WireWriter::new(std::io::BufWriter::new(stream), Some(server_shard.len()))
-        {
-            let _ = writer.serve(&mut VecSource::new(server_shard));
-        }
+        let _ = serve_stream(stream, &mut VecSource::new(server_shard), None);
     });
     let query = TopkQuery::new(2).with_p_tau(1e-3).with_u_topk(false);
     let mut session = Session::new();
@@ -449,20 +433,20 @@ fn conflicting_hello_assignments_are_rejected() {
         .map(|i| SourceTuple::independent(UncertainTuple::new(i, (30 - i) as f64, 0.5).unwrap()))
         .collect();
     // Namespace conflict.
-    let addrs = serve_shards_with_assignments(vec![
+    let (addrs, _) = serve_assigned(vec![
         (
             shard_a.clone(),
-            ShardAssignment {
+            Some(ShardAssignment {
                 id_base: 0,
                 namespace: "coord-A".into(),
-            },
+            }),
         ),
         (
             shard_b.clone(),
-            ShardAssignment {
+            Some(ShardAssignment {
                 id_base: 10,
                 namespace: "coord-B".into(),
-            },
+            }),
         ),
     ]);
     let err = Session::new()
@@ -476,20 +460,20 @@ fn conflicting_hello_assignments_are_rejected() {
         "{err:?}"
     );
     // Overlapping id ranges (both shards claim base 0 over 10 rows).
-    let addrs = serve_shards_with_assignments(vec![
+    let (addrs, _) = serve_assigned(vec![
         (
             shard_a,
-            ShardAssignment {
+            Some(ShardAssignment {
                 id_base: 0,
                 namespace: "coord-A".into(),
-            },
+            }),
         ),
         (
             shard_b,
-            ShardAssignment {
+            Some(ShardAssignment {
                 id_base: 5,
                 namespace: "coord-A".into(),
-            },
+            }),
         ),
     ]);
     let err = Session::new()
@@ -504,43 +488,9 @@ fn conflicting_hello_assignments_are_rejected() {
     );
 }
 
-/// Serves each shard through [`serve_stream`] — the v3 negotiating server of
-/// the `serve-shard` daemon — one connection each, reporting every
-/// connection's [`ServeSummary`] through the returned channel. A short
-/// pushdown grace keeps the non-announcing (legacy-client) cases fast.
-fn serve_shards_v3(
-    shards: Vec<Vec<SourceTuple>>,
-) -> (Vec<String>, mpsc::Receiver<(usize, ServeSummary)>) {
-    let (sender, receiver) = mpsc::channel();
-    let addrs = shards
-        .into_iter()
-        .enumerate()
-        .map(|(index, shard)| {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap().to_string();
-            let sender = sender.clone();
-            std::thread::spawn(move || {
-                let (stream, _) = listener.accept().unwrap();
-                let options = ServeOptions {
-                    pushdown_wait: Duration::from_millis(5),
-                    drain_every: 4,
-                    ..ServeOptions::default()
-                };
-                // A vanished client is a summary, not an error; a source
-                // error cannot happen with a VecSource.
-                let summary =
-                    serve_stream(stream, &mut VecSource::new(shard), None, &options).unwrap();
-                let _ = sender.send((index, summary));
-            });
-            addr
-        })
-        .collect();
-    (addrs, receiver)
-}
-
 /// The deterministic local-only pushdown bound of one shard: what a
 /// [`ShardScanGate`] admits over the shard with **no** remote updates. With
-/// updates the server can only stop earlier, so tuples shipped by any v3
+/// updates the server can only stop earlier, so tuples shipped by any gated
 /// connection must stay ≤ this.
 fn shard_pushdown_bound(shard: &[SourceTuple], k: usize, p_tau: f64) -> u64 {
     let mut gate = ShardScanGate::new(k, p_tau).unwrap();
@@ -569,7 +519,7 @@ fn check_pushdown_case(
         .map(|shard| shard_pushdown_bound(shard, query.k, query.p_tau))
         .collect();
     let rows: Vec<u64> = shards.iter().map(|s| s.len() as u64).collect();
-    let (addrs, summaries) = serve_shards_v3(shards);
+    let (addrs, summaries) = serve_shards(shards);
     let dataset = RemoteShardDataset::new(addrs).into_dataset();
     let pushed = session.execute(&dataset, query);
     let succeeded = pushed.is_ok();
@@ -583,11 +533,7 @@ fn check_pushdown_case(
         let (index, summary) = summaries
             .recv_timeout(Duration::from_secs(10))
             .expect("every server reports a summary");
-        prop_assert!(
-            summary.pushdown,
-            "v3 negotiation must engage: {:?}",
-            summary
-        );
+        prop_assert_eq!(summary.gated, !drains, "{:?}", summary);
         shipped_total += summary.shipped;
         prop_assert!(summary.scanned <= rows[index]);
         if !drains {
@@ -617,11 +563,11 @@ fn check_pushdown_case(
         observed,
         shipped_total
     );
-    // The block transport stats count decoded kind-20 frames — the framing
-    // truth, independent of how the merge pulled. Blocks are negotiated by
-    // default, so every delivered tuple rode a block frame (observed ≤ frame
-    // rows), the client never decodes more rows than the servers shipped,
-    // and the per-frame accounting is self-consistent.
+    // The block transport stats count decoded block frames — the framing
+    // truth, independent of how the merge pulled. Every delivered tuple
+    // rode a block frame (observed ≤ frame rows), the client never decodes
+    // more rows than the servers shipped, and the per-frame accounting is
+    // self-consistent.
     let blocks = plan
         .observed_wire_blocks
         .expect("remote scan records block transport stats");
@@ -643,7 +589,7 @@ proptest! {
 
     /// **Tentpole property.** For any table, partitioning and k, the
     /// pushdown scan is bit-identical to the single-source scan (including
-    /// U-Topk witness ids), and every v3 server ships at most its
+    /// U-Topk witness ids), and every gated server ships at most its
     /// conservative local Theorem-2 bound — never the whole shard by
     /// default.
     #[test]
@@ -673,73 +619,6 @@ proptest! {
         let mut session = Session::new();
         let single = session.execute(&Dataset::stream(table.to_source()), &query);
         check_pushdown_case(&mut session, single, partition(&table, shards), &query)?;
-    }
-
-    /// Back-compat, client side: a legacy (non-announcing) client against v3
-    /// servers gets the full replay with bit-identical results — pushdown
-    /// silently disabled.
-    #[test]
-    fn v3_servers_serve_legacy_clients_unchanged(
-        table in table_with(6),
-        shards in 1usize..4,
-        k in 1usize..4,
-    ) {
-        let query = TopkQuery::new(k).with_p_tau(1e-3).with_u_topk(false);
-        let mut session = Session::new();
-        let single = session.execute(&Dataset::stream(table.to_source()), &query);
-        let (addrs, summaries) = serve_shards_v3(partition(&table, shards));
-        let dataset = RemoteShardDataset::new(addrs)
-            .with_pushdown(false)
-            .into_dataset();
-        prop_assert_eq!(
-            session.explain(&dataset, &query).path,
-            ScanPath::Remote { remote: shards, local: 0 }
-        );
-        let served = session.execute(&dataset, &query);
-        let succeeded = served.is_ok();
-        assert_identical(single, served)?;
-        if succeeded {
-            for _ in 0..shards {
-                let (_, summary) = summaries
-                    .recv_timeout(Duration::from_secs(10))
-                    .expect("every server reports a summary");
-                prop_assert!(!summary.pushdown, "grace window must expire: {:?}", summary);
-            }
-        }
-    }
-
-    /// Back-compat, server side: a v3 (announcing) client against pre-v3
-    /// servers — both the v1 and the v2-hello flavour — gets the full replay
-    /// with bit-identical results.
-    #[test]
-    fn v3_clients_degrade_against_pre_v3_servers(
-        table in table_with(6),
-        shards in 1usize..4,
-        k in 1usize..4,
-        v2_hello in any::<bool>(),
-    ) {
-        let query = TopkQuery::new(k).with_p_tau(1e-3).with_u_topk(false);
-        let mut session = Session::new();
-        let single = session.execute(&Dataset::stream(table.to_source()), &query);
-        let parts = partition(&table, shards);
-        let addrs = if v2_hello {
-            let mut registry = LeaseRegistry::new("compat-matrix");
-            serve_shards_with_assignments(
-                parts
-                    .into_iter()
-                    .map(|part| {
-                        let lease = registry.register(part.len() as u64);
-                        // Re-keep the shard's own ids: only the hello labels
-                        // change, the rows do not.
-                        (part, lease)
-                    })
-                    .collect(),
-            )
-        } else {
-            serve_shards(parts)
-        };
-        let served = session.execute(&RemoteShardDataset::new(addrs).into_dataset(), &query);
-        assert_identical(single, served)?;
     }
 }
 
@@ -787,17 +666,21 @@ fn feed_producer_error_surfaces_as_source_error() {
 }
 
 /// A server that dies mid-stream (socket closed without the end frame)
-/// surfaces as `Error::Source` on the querying side.
+/// surfaces as `Error::Source` on the querying side. The server is a
+/// deliberately broken hand-rolled one: hello and one block, then nothing.
 #[test]
 fn remote_server_dying_mid_stream_is_a_source_error() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
-        let mut writer = WireWriter::new(std::io::BufWriter::new(stream), Some(100)).unwrap();
+        wire::read_scan_open(&mut (&stream)).unwrap();
+        let mut writer = WireWriter::new(BufWriter::new(stream), Some(100), None).unwrap();
+        let mut block = TupleBlock::default();
         for t in descending_tuples(3) {
-            writer.write_tuple(&t).unwrap();
+            block.push(&t);
         }
+        writer.write_block(&block).unwrap();
         // Drop without the end frame: the connection just dies.
     });
     let err = Session::new()
@@ -817,11 +700,12 @@ fn remote_source_failure_is_forwarded_through_the_wire() {
     let addr = listener.local_addr().unwrap().to_string();
     std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
-        let writer = WireWriter::new(std::io::BufWriter::new(stream), None).unwrap();
-        let _ = writer.serve(&mut FailsAfter {
+        let mut source = FailsAfter {
             tuples: descending_tuples(4),
             served: 0,
-        });
+        };
+        // Forwards the source failure as an error frame (and returns it).
+        let _ = serve_stream(stream, &mut source, None);
     });
     let err = Session::new()
         .execute(
@@ -833,4 +717,71 @@ fn remote_source_failure_is_forwarded_through_the_wire() {
         matches!(&err, Error::Source(m) if m.contains("shard backend failed")),
         "{err:?}"
     );
+}
+
+/// A scan-open of another protocol version gets one error frame naming both
+/// versions, then the close — read under a test-side timeout, so a server
+/// that hung (or fell back to some other behaviour) fails the test.
+#[test]
+fn stale_scan_open_is_refused_naming_both_versions() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut frame = Vec::new();
+    wire::write_scan_open(&mut frame, &PushdownQuery { k: 2, p_tau: 1e-3 }).unwrap();
+    // The version is the first payload byte, after length and kind.
+    frame[5] = WIRE_VERSION - 1;
+    (&client).write_all(&frame).unwrap();
+
+    let (stream, _) = listener.accept().unwrap();
+    let served = serve_stream(stream, &mut VecSource::new(descending_tuples(5)), None);
+    assert!(served.is_err(), "a stale scan-open cannot be served");
+
+    let mut reader = WireReader::new(&client);
+    let err = reader.hello().unwrap_err();
+    assert!(
+        matches!(&err, Error::Source(m) if m.starts_with("remote source failed")
+            && m.contains(&format!("version {}", WIRE_VERSION - 1))
+            && m.contains(&format!("version {WIRE_VERSION}"))),
+        "{err}"
+    );
+    let mut surplus = [0u8; 1];
+    assert_eq!(
+        std::io::Read::read(&mut &client, &mut surplus).unwrap(),
+        0,
+        "no tuples follow the refusal"
+    );
+}
+
+/// A client that connects and never sends its scan-open is answered with an
+/// error frame and closed once [`SCAN_OPEN_WAIT`] passes — it never gets a
+/// replay of the shard.
+#[test]
+fn silent_client_is_closed_after_the_scan_open_wait() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    client
+        .set_read_timeout(Some(SCAN_OPEN_WAIT + Duration::from_secs(10)))
+        .unwrap();
+    let (stream, _) = listener.accept().unwrap();
+    let server = std::thread::spawn(move || {
+        serve_stream(stream, &mut VecSource::new(descending_tuples(50)), None)
+    });
+
+    let started = Instant::now();
+    let err = WireReader::new(&client).hello().unwrap_err();
+    assert!(
+        matches!(&err, Error::Source(m) if m.starts_with("remote source failed")),
+        "{err}"
+    );
+    assert!(started.elapsed() >= SCAN_OPEN_WAIT - Duration::from_millis(100));
+    let mut surplus = [0u8; 1];
+    assert_eq!(
+        std::io::Read::read(&mut &client, &mut surplus).unwrap(),
+        0,
+        "the server closes instead of replaying the shard"
+    );
+    assert!(server.join().unwrap().is_err());
 }

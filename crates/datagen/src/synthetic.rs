@@ -151,29 +151,27 @@ pub fn generate(config: &SyntheticConfig) -> Result<UncertainTable> {
     tuples.sort_by_key(|t| t.rank_key());
     let rules = assign_groups(&tuples, &config.me_policy, &mut rng);
 
-    // Rescale probabilities inside groups whose mass exceeds one.
-    let mut adjusted: Vec<UncertainTuple> = tuples.clone();
+    // Rescale probabilities inside groups whose mass exceeds one. Ids are
+    // `0..tuples`, so a dense id -> rank-position map finds every member in
+    // O(1).
+    let mut position = vec![0usize; tuples.len()];
+    for (at, t) in tuples.iter().enumerate() {
+        position[t.id().raw() as usize] = at;
+    }
     for rule in &rules {
         let sum: f64 = rule
             .iter()
-            .map(|id| {
-                adjusted
-                    .iter()
-                    .find(|t| t.id() == *id)
-                    .map(|t| t.prob())
-                    .unwrap_or(0.0)
-            })
+            .map(|id| tuples[position[id.raw() as usize]].prob())
             .sum();
         if sum > 0.99 {
             let scale = 0.99 / sum;
-            for t in adjusted.iter_mut() {
-                if rule.contains(&t.id()) {
-                    *t = UncertainTuple::new(t.id(), t.score(), (t.prob() * scale).max(1e-6))?;
-                }
+            for id in rule {
+                let t = &mut tuples[position[id.raw() as usize]];
+                *t = UncertainTuple::new(t.id(), t.score(), (t.prob() * scale).max(1e-6))?;
             }
         }
     }
-    UncertainTable::new(adjusted, rules)
+    UncertainTable::new(tuples, rules)
 }
 
 /// Generates a synthetic workload directly as a rank-ordered
@@ -355,5 +353,52 @@ mod tests {
         };
         assert!(top_decile_confidence(0.8) > top_decile_confidence(0.0));
         assert!(top_decile_confidence(0.0) > top_decile_confidence(-0.8));
+    }
+
+    /// FNV-1a over every tuple's id, score bits and probability bits in
+    /// rank order, then every ME group's member positions.
+    fn digest(table: &UncertainTable) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for t in table.tuples() {
+            eat(t.id().raw());
+            eat(t.score().to_bits());
+            eat(t.prob().to_bits());
+        }
+        for g in 0..table.group_count() {
+            for &p in table.group_positions(g) {
+                eat(p as u64);
+            }
+            eat(u64::MAX);
+        }
+        hash
+    }
+
+    /// Pins the generator's output bit for bit: the digests were recorded
+    /// from the original quadratic group-rescaling pass, so any change to
+    /// the draw order, the group layout or the rescaling shows up here.
+    #[test]
+    fn output_digests_are_pinned() {
+        for (tuples, seed, expected) in [
+            (300, 1, 0xf3f3_e125_f086_260b),
+            (300, 7, 0xf06b_e7bf_58d0_58d8),
+            (300, 42, 0x6a85_992f_fdd0_23c6),
+            (30_000, 1, 0x2413_a95f_24ec_af6e),
+            (30_000, 7, 0x32f3_b070_11c9_bdfd),
+            (30_000, 42, 0xef9e_331e_2186_5029),
+        ] {
+            let table = generate(&SyntheticConfig {
+                tuples,
+                seed,
+                ..SyntheticConfig::default()
+            })
+            .unwrap();
+            assert_eq!(digest(&table), expected, "{tuples} tuples, seed {seed}");
+        }
     }
 }

@@ -32,9 +32,9 @@
 //!   source can run on its own producer thread (or process) while the
 //!   consumer still pulls a plain [`TupleSource`]; [`PrefetchPolicy`] uses
 //!   it to overlap per-shard I/O with the merge.
-//! * [`wire`] — a framed binary codec for [`SourceTuple`] streams over any
-//!   `Read`/`Write` (raw IEEE-754 bits, length-prefixed frames), so one
-//!   scan can span processes and machines.
+//! * [`wire`] — the one framed binary protocol (raw IEEE-754 bits,
+//!   length-prefixed frames over any `Read`/`Write`) for shard scans, query
+//!   serving and coordination, so one scan can span processes and machines.
 //! * [`ScanHandle`] — the uniform opened-input type: a single stream or a
 //!   merged shard set (optionally prefetched per shard) behind one owned
 //!   [`TupleSource`], produced by the `Dataset` abstraction in `ttk-core`

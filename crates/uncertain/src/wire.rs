@@ -1,132 +1,85 @@
-//! The wire layer: a framed binary codec for [`SourceTuple`] streams.
+//! The wire layer: one framed binary protocol for shard scans, query
+//! serving and coordination.
 //!
-//! A shard served from another process (or machine) is just a rank-ordered
-//! tuple stream, so the wire format is deliberately minimal: a blocking,
-//! **length-prefixed** frame protocol over any [`Read`]/[`Write`] pair —
-//! a `TcpStream`, a Unix pipe, an in-memory buffer in tests. Scores and
-//! probabilities travel as raw IEEE-754 bits (the same encoding discipline
-//! as the spill-run files of `ttk-pdb`), so a stream decoded from the wire
-//! is **bit-identical** to the stream the server pulled locally.
+//! Frames travel over any blocking [`Read`]/[`Write`] pair — a `TcpStream`,
+//! a pipe, an in-memory buffer in tests. Every frame is a `u32` body length
+//! followed by the body, whose first byte is the frame kind; all integers
+//! are little-endian. Scores and probabilities travel as raw IEEE-754 bits
+//! (the same encoding discipline as the spill-run files of `ttk-pdb`), so a
+//! stream or answer decoded from the wire is **bit-identical** to what the
+//! peer computed.
 //!
-//! Every frame is `u32` little-endian body length followed by the body; the
-//! body's first byte is the frame kind:
+//! # The version rule
 //!
-//! | kind | meaning | payload |
-//! |---|---|---|
-//! | `0` | end of stream | none |
-//! | `1` | tuple | id `u64`, score bits `u64`, prob bits `u64`, group flag `u8` (+ key `u64` when shared) |
-//! | `2` | producer error | UTF-8 message |
-//! | `3` | hello (first frame) | version `u8`, size hint `u64` (`u64::MAX` = unknown); v2 appends id base `u64`, namespace length `u16`, namespace bytes; v3 appends an assignment-present flag `u8` and, when set, the v2 assignment fields |
-//! | `5` | coordinator register | version `u8`, row count `u64`, label length `u16`, label bytes |
-//! | `6` | coordinator lease | version `u8`, id base `u64`, namespace length `u16`, namespace bytes |
-//! | `7` | query announcement (client→server, v3) | k `u64` (`0` = stream everything), pτ bits `u64` |
-//! | `8` | bound update (client→server, v3) | accumulated merge-side mass bits `u64` |
-//! | `9` | stopped-at trailer (server→client, v3, precedes `end`) | rows scanned `u64`, tuples shipped `u64`, gate-limited flag `u8` |
-//! | `10` | query request (client→server, v4/v5) | version `u8`, k `u64`, pτ bits `u64`, typical count `u64`, max lines `u64`, algorithm `u8`, coalesce `u8`, flags `u8`, dataset length `u16`, dataset bytes |
-//! | `11` | query result header (server→client, v4/v5) | version `u8`, flags `u8`, scan depth `u64`, phase times `u64`×2, point count `u64`, expected distance bits `u64`, typical answers, optional U-Top-k; v5 appends dataset epoch `u64` and cache generation `u64` |
-//! | `12` | result chunk (server→client, v4/v5, precedes `end`) | point count `u16`, encoded distribution points |
-//! | `13` | append request header (client→server, v5) | version `u8`, flags `u8` (bit 0 = seal), row count `u64`, dataset length `u16`, dataset bytes |
-//! | `14` | append row chunk (client→server, v5, precedes `end`) | row count `u16`, encoded rows (tuple layout sans kind byte) |
-//! | `15` | append acknowledgement (server→client, v5) | version `u8`, flags `u8` (bit 0 = sealed now), epoch `u64`, staged rows `u64`, sealed rows `u64` |
-//! | `16` | subscribe request (client→server, v5) | the v5 query request fields, then max pushes `u64`, dataset length `u16`, dataset bytes |
-//! | `17` | notification (server→client, v5, precedes a result stream) | version `u8`, epoch `u64`, answer hash `u64` |
-//! | `18` | busy / retry-after (server→client, v5) | version `u8`, retry-after millis `u64` |
-//! | `19` | block-capable query announcement (client→server) | the kind-7 fields, then max tuples per block frame `u16` |
-//! | `20` | tuple block (server→client, negotiated via kind 19) | tuple count `u16`, encoded rows (tuple layout sans kind byte) |
+//! There is one protocol version, [`WIRE_VERSION`]. The client always speaks
+//! first, and the first payload byte of its opening frame — scan-open, query
+//! request, append, subscribe, admin or register — is that version. A
+//! server that reads another version answers with one error frame naming
+//! both versions and closes; a client that reads another version in a
+//! versioned reply (hello, result header, acknowledgement, notification,
+//! busy, admin response, lease) fails the same way. There is no
+//! negotiation and no fallback: both peers are built from this repository,
+//! so a mismatch means one of them is stale. A daemon that receives the
+//! opening frame of another daemon's exchange — a scan-open at `ttk serve`,
+//! a query request at `ttk serve-shard` — answers with a "wrong daemon"
+//! error frame rather than a corrupt-frame error.
 //!
-//! All integers are little-endian. A [`WireWriter`] emits the hello frame at
-//! construction and exactly one terminal frame (`end` or `error`); a
-//! [`WireReader`] implements [`TupleSource`], decoding tuples until the
-//! terminal frame and surfacing *every* abnormality — I/O failure, corrupt
-//! frame, connection lost before the end frame, server-side error — as
-//! [`Error::Source`], never as a silently truncated stream.
+//! # Frames
 //!
-//! # Protocol versions
+//! | kind | direction | frame | payload |
+//! |---|---|---|---|
+//! | `0` | both | end | none |
+//! | `2` | server→client | error | UTF-8 message |
+//! | `3` | server→client | scan hello | version `u8`, size hint `u64` (`u64::MAX` = unknown), assignment flag `u8`, then (flag 1) id base `u64`, namespace length `u16`, namespace bytes |
+//! | `5` | shard→coordinator | register | version `u8`, row count `u64`, label length `u16`, label bytes |
+//! | `6` | coordinator→shard | lease | version `u8`, id base `u64`, namespace length `u16`, namespace bytes |
+//! | `7` | client→server | scan-open | version `u8`, k `u64` (`0` = stream everything), pτ bits `u64` |
+//! | `8` | client→server | bound update | accumulated merge-side mass bits `u64` |
+//! | `9` | server→client | stopped-at trailer (precedes end) | rows scanned `u64`, tuples shipped `u64`, gate-limited flag `u8` |
+//! | `10` | client→server | query request | version `u8`, k `u64`, pτ bits `u64`, typical count `u64`, max lines `u64`, algorithm `u8`, coalesce `u8`, flags `u8`, dataset length `u16`, dataset bytes |
+//! | `11` | server→client | query result header | version `u8`, flags `u8`, scan depth `u64`, phase times `u64`×2, point count `u64`, expected distance bits `u64`, typical answers, optional U-Top-k, epoch `u64`, cache generation `u64`, live flag `u8`, live segments `u64`, last compaction epoch `u64` |
+//! | `12` | server→client | result chunk (precedes end) | point count `u16`, encoded distribution points |
+//! | `13` | client→server | append header | version `u8`, flags `u8` (bit 0 = seal), row count `u64`, dataset length `u16`, dataset bytes |
+//! | `14` | client→server | append row chunk (precedes end) | row count `u16`, encoded rows |
+//! | `15` | server→client | append acknowledgement | version `u8`, flags `u8` (bit 0 = sealed now), epoch `u64`, staged rows `u64`, sealed rows `u64` |
+//! | `16` | client→server | subscribe request | the query request fields up to the flags, max pushes `u64`, dataset length `u16`, dataset bytes |
+//! | `17` | server→client | notification (precedes a result stream) | version `u8`, epoch `u64`, answer hash `u64` |
+//! | `18` | server→client | busy / retry-after | version `u8`, retry-after millis `u64` |
+//! | `20` | server→client | tuple block | row count `u16`, encoded rows |
+//! | `21` | client→server | admin request | version `u8`, verb `u8`, name length `u16`, name bytes, argument length `u16`, argument bytes |
+//! | `22` | server→client | admin response | version `u8`, UTF-8 report |
 //!
-//! **v1** is the original one-way stream: the server speaks first and the
-//! hello frame carries only the version byte and a size hint. **v2** adds
-//! coordination: the hello may also carry a [`ShardAssignment`] — the tuple-id
-//! base and group-key namespace label the serving process imported its shard
-//! under — so the consumer can check that independently-served shards really
-//! partition one relation instead of trusting operator-passed `--id-base`
-//! flags.
+//! An encoded row is id `u64`, score bits `u64`, probability bits `u64` and
+//! a group flag `u8`, followed by the group key `u64` when the flag is 1.
+//! Kinds 1, 4 and 19 are retired and decode as unknown frames.
 //!
-//! Through v2 the stream is strictly one-way (the server speaks, the client
-//! only reads), so the hello version is chosen by the **server's
-//! configuration**: [`WireWriter::new`] emits the v1 layout every reader
-//! since protocol v1 decodes, and a server emits the extended v2 layout
-//! ([`WireWriter::with_assignment`]) only when it actually holds an
-//! assignment to advertise (a coordinator lease or an operator-pinned
-//! namespace). A v2 reader accepts both layouts; a v1 client keeps decoding
-//! any server that has no assignment to announce.
+//! # Exchanges
 //!
-//! **v3** adds *scan-gate pushdown*: a client that wants the server to stop
-//! at a conservative per-shard Theorem-2 bound speaks **first**, sending a
-//! query frame ([`write_query`]) right after connecting. A v3 server waits a
-//! short grace window for that frame; when it arrives the server answers
-//! with a v3 hello, streams only the gated prefix, reads periodic
-//! bound-update frames ([`write_bound`]) off the same socket to tighten its
-//! gate with the merge-side accumulated mass, and closes the stream with a
-//! stopped-at trailer ([`StoppedAt`]) before the end frame. When no query
-//! frame arrives inside the grace window the server serves the full v1/v2
-//! replay exactly as before — so old clients keep working against v3
-//! servers, and a v3 client whose query frame lands on an old server simply
-//! gets the v1/v2 hello back and silently disables pushdown. (The old
-//! server never drains the query frame, which turns its close into a
-//! connection reset — harmless, because the kernel delivers the queued
-//! in-order stream before surfacing the reset and the reader stops at the
-//! end frame.)
+//! **Shard scan** (`ttk serve-shard`): the client sends scan-open
+//! ([`write_scan_open`]); the server answers with the scan hello, ships the
+//! rank-ordered shard as tuple-block frames, and closes with the
+//! stopped-at trailer ([`StoppedAt`]) and the end frame. For `k > 0` the
+//! server stops at a conservative per-shard Theorem-2 bound and folds the
+//! client's bound updates ([`write_bound`]) into it mid-scan; `k = 0` ships
+//! the whole shard, and the client sends nothing after the scan-open. A [`WireWriter`] is the server half; a [`WireReader`] is
+//! the client half as a [`TupleSource`], surfacing *every* abnormality — I/O
+//! failure, corrupt frame, connection lost before the end frame, server-side
+//! error — as [`Error::Source`], never as a silently truncated stream.
 //!
-//! **v4** adds *query serving*: instead of replaying a shard, a server holds
-//! whole datasets resident and answers `(dataset, algorithm, k, pτ)` queries.
-//! The client again speaks first ([`write_query_request`]); the server
-//! answers with a result header frame, streams the score distribution in
-//! size-bounded chunks, and terminates with the usual end frame
-//! ([`write_query_result`] / [`read_query_result`]). The exchange replaces
-//! the hello entirely — there is no v4 hello layout — and every score and
-//! probability still travels as raw IEEE-754 bits, so a decoded answer is
-//! bit-identical to the one the server computed. A query-serving daemon that
-//! receives anything other than a request frame answers with an error frame
-//! and closes, so pre-v4 peers fail cleanly instead of hanging; a v4 client
-//! pointed at a shard-replay server gets a clean decode error off the
-//! server's hello in the same way.
+//! **Query serving** (`ttk serve`): the opening frame is a query request
+//! ([`write_query_request`]), answered by a result header, result chunks and
+//! the end frame ([`read_query_result`]); an append
+//! ([`write_append_request`]), answered by an [`AppendAck`]; a subscription
+//! ([`write_subscribe`]), answered by a [`Notification`] plus a full result
+//! stream per answer shift and closed by a bare end frame; or an admin
+//! request ([`write_admin_request`]), answered by an admin response. Any
+//! reply may be an error frame instead, and a saturated daemon answers any
+//! opening frame with busy ([`write_busy`]), which clients treat as
+//! retryable.
 //!
-//! **v5** adds *live datasets*: a query-serving daemon may hold append-only
-//! datasets that grow under epoch-numbered snapshots, so the client-speaks-
-//! first exchange gains two new request kinds next to the query request. An
-//! **append** ([`write_append_request`]) ships scored rows in size-bounded
-//! chunks (the tuple-frame encoding, minus the kind byte) with an optional
-//! seal trigger, and is answered by a single acknowledgement frame carrying
-//! the dataset's post-append epoch ([`AppendAck`]). A **subscription**
-//! ([`write_subscribe`]) registers a standing query: the server pushes a
-//! notification frame ([`Notification`]) followed by a complete v5 result
-//! stream each time the answer distribution actually shifts, and closes the
-//! subscription with a bare end frame. Query requests and result headers are
-//! version-stamped: a v5 result appends the dataset epoch and the server's
-//! cache generation, while a v4 client keeps receiving the byte-identical v4
-//! layout — the server echoes the version the client spoke. Finally, the
-//! **busy** frame ([`write_busy`]) is a cheap admission-control refusal: a
-//! daemon whose worker handoff would block answers it in place of any reply
-//! and closes, and clients decode it as a retryable (never semantic) error.
-//!
-//! **Columnar block framing** rides on the same client-speaks-first
-//! negotiation as v3–v5: a client that can consume [`TupleBlock`]s announces
-//! its query with the kind-19 frame ([`write_query_blocks`]) — the kind-7
-//! fields plus the largest per-frame tuple count it wants — and a
-//! block-aware server then ships the gated prefix as size-bounded kind-20
-//! tuple-block frames instead of one frame per tuple. The rows inside a
-//! block frame use the tuple-frame layout minus the kind byte (identical to
-//! the append-chunk row encoding), so a decoded block is bit-identical to
-//! the per-tuple stream. Compatibility needs no capability exchange: an old
-//! v3–v5 server *strictly* rejects the unknown 19-byte query frame, the
-//! client sees the failed hello and redials speaking the plain kind-7 query,
-//! and everything downstream proceeds byte-identically to today. A new
-//! server answering a kind-7 client never emits a block frame.
-//!
-//! The register/lease frames are the coordinator handshake: a shard server
-//! connects to the coordinator, frames its row count and a display label
-//! ([`write_register`]), and receives the `(id base, namespace)` lease the
-//! coordinator allotted from its [`LeaseRegistry`] ([`read_lease`]).
+//! **Coordination** (`ttk coordinator`): a shard server sends register
+//! ([`write_register`]) and reads back the lease its [`LeaseRegistry`]
+//! allotted ([`read_lease`]).
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -137,44 +90,18 @@ use crate::source::{GroupKey, SourceTuple, TupleBlock, TupleSource};
 use crate::tuple::{TupleId, UncertainTuple};
 use crate::vector::TopkVector;
 
-/// The v2 protocol version byte: the hello layout carrying a
-/// [`ShardAssignment`], and the version the coordinator frames speak.
-pub const WIRE_VERSION: u8 = 2;
+/// The one protocol version: the first payload byte of every opening frame
+/// and of every versioned reply.
+pub const WIRE_VERSION: u8 = 7;
 
-/// The v3 protocol version byte: the query-mode (scan-gate pushdown) hello.
-pub const WIRE_VERSION_V3: u8 = 3;
-
-/// The v4 protocol version byte: the query-serving request/result exchange.
-/// v4 defines no hello layout — the request and result frames carry their own
-/// version byte and replace the hello entirely, so hello decoding still
-/// rejects version bytes past v3.
-pub const WIRE_VERSION_V4: u8 = 4;
-
-/// The v5 protocol version byte: live datasets — append/seal requests,
-/// standing-query subscriptions, epoch-stamped result headers, and the
-/// busy/retry-after admission frame. Like v4 it defines no hello layout.
-pub const WIRE_VERSION_V5: u8 = 5;
-
-/// The v6 protocol version byte: the serving-lifecycle admin plane
-/// (stats/register/unregister/reload/compact against a resident-dataset
-/// daemon) and the live-scan result tail (segment count + last compaction
-/// epoch after the v5 epoch/generation fields). Like v4/v5 it defines no
-/// hello layout, and it stays client-speaks-first: v5-and-older peers never
-/// see a v6 byte unless they asked for one.
-pub const WIRE_VERSION_V6: u8 = 6;
-
-/// The original protocol version: a 10-byte hello, no assignment metadata.
-const WIRE_VERSION_V1: u8 = 1;
-
-/// Frame kinds (first byte of every frame body).
+/// Frame kinds (first byte of every frame body); the module doc's table
+/// gives each layout.
 const FRAME_END: u8 = 0;
-const FRAME_TUPLE: u8 = 1;
 const FRAME_ERROR: u8 = 2;
 const FRAME_HELLO: u8 = 3;
-// Frame kind 4 is reserved (an abandoned client-hello design; never shipped).
 const FRAME_REGISTER: u8 = 5;
 const FRAME_LEASE: u8 = 6;
-const FRAME_QUERY: u8 = 7;
+const FRAME_SCAN_OPEN: u8 = 7;
 const FRAME_BOUND: u8 = 8;
 const FRAME_STOPPED: u8 = 9;
 const FRAME_QUERY_REQUEST: u8 = 10;
@@ -186,14 +113,13 @@ const FRAME_APPEND_ACK: u8 = 15;
 const FRAME_SUBSCRIBE: u8 = 16;
 const FRAME_NOTIFY: u8 = 17;
 const FRAME_BUSY: u8 = 18;
-const FRAME_QUERY_BLOCKS: u8 = 19;
 const FRAME_TUPLE_BLOCK: u8 = 20;
 const FRAME_ADMIN: u8 = 21;
 const FRAME_ADMIN_RESPONSE: u8 = 22;
 
-/// Largest frame body a reader will accept (an error message, at most; tuple
-/// frames are 34 bytes and block frames pack rows up to this bound). Guards
-/// against garbage length prefixes allocating gigabytes.
+/// Largest frame body a reader will accept. Guards against garbage length
+/// prefixes allocating gigabytes; block and chunk frames pack rows up to
+/// this bound.
 const MAX_FRAME_BODY: usize = 64 * 1024;
 
 /// Most rows one tuple-block frame can carry: the frame body bound divided
@@ -204,7 +130,7 @@ fn io_err(context: &str, e: std::io::Error) -> Error {
     Error::Source(format!("wire {context}: {e}"))
 }
 
-/// The coordination metadata a v2 hello (or a coordinator lease) carries:
+/// The coordination metadata a scan hello (or a coordinator lease) carries:
 /// where the served shard's rows live in the relation's shared tuple-id
 /// space, and which group-key namespace the shard was imported under.
 ///
@@ -213,7 +139,7 @@ fn io_err(context: &str, e: std::io::Error) -> Error {
 /// consumer may merge them as one relation; shards reporting **different**
 /// namespaces were never meant to be merged and the consumer should refuse.
 /// An empty namespace means the server asserted nothing (an operator-managed
-/// `--id-base` setup), which consumers accept for backwards compatibility.
+/// `--id-base` setup), which consumers accept.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardAssignment {
     /// Tuple id of the shard's first row in the shared id space.
@@ -222,14 +148,12 @@ pub struct ShardAssignment {
     pub namespace: String,
 }
 
-/// Everything a decoded hello frame carried.
+/// Everything a decoded scan hello carried.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hello {
-    /// Protocol version the server spoke (1, 2 or 3).
-    pub version: u8,
     /// Tuple-count hint, when the server knew it.
     pub size_hint: Option<usize>,
-    /// The shard's id-base/namespace assignment (v2/v3 hellos only).
+    /// The shard's id-base/namespace assignment, when the server holds one.
     pub assignment: Option<ShardAssignment>,
 }
 
@@ -259,6 +183,52 @@ fn write_frame_to(writer: &mut impl Write, body: &[u8]) -> Result<()> {
         .write_all(&len.to_le_bytes())
         .and_then(|_| writer.write_all(body))
         .map_err(|e| io_err("write", e))
+}
+
+/// Accepts a frame's version byte when it is [`WIRE_VERSION`]; otherwise
+/// returns the refusal every peer reports, naming both versions.
+fn check_version(what: &str, version: Option<&u8>) -> Result<()> {
+    match version {
+        Some(&WIRE_VERSION) => Ok(()),
+        Some(&other) => Err(Error::Source(format!(
+            "{what} speaks wire protocol version {other}, but this build speaks version \
+             {WIRE_VERSION}"
+        ))),
+        None => Err(Error::Source(format!("corrupt wire {what} frame"))),
+    }
+}
+
+/// The refusal for a connection that opened with `kind` where `expected`
+/// was due: a "wrong daemon" error when `kind` opens another daemon's
+/// exchange, an unexpected-kind error otherwise.
+fn unexpected_opening(kind: u8, expected: &str) -> Error {
+    let belongs_to = match kind {
+        FRAME_SCAN_OPEN => "a shard server (ttk serve-shard)",
+        FRAME_QUERY_REQUEST | FRAME_APPEND | FRAME_SUBSCRIBE | FRAME_ADMIN => {
+            "a query daemon (ttk serve)"
+        }
+        FRAME_REGISTER => "a coordinator (ttk coordinator)",
+        _ => {
+            return Error::Source(format!(
+                "unexpected wire frame kind {kind} (expected {expected})"
+            ))
+        }
+    };
+    Error::Source(format!(
+        "wrong daemon: the connection opened with frame kind {kind}, which belongs to \
+         {belongs_to}; this daemon expects {expected}"
+    ))
+}
+
+/// Reads a client's opening frame, requiring frame `kind` at
+/// [`WIRE_VERSION`] (see the version rule in the module doc).
+fn read_opening(reader: &mut impl Read, kind: u8, what: &str) -> Result<Vec<u8>> {
+    let body = read_frame_from(reader)?;
+    if body[0] != kind {
+        return Err(unexpected_opening(body[0], &format!("a {what} frame")));
+    }
+    check_version(what, body.get(1))?;
+    Ok(body)
 }
 
 /// Longest label/namespace accepted in a frame. Bounded well under
@@ -317,18 +287,12 @@ pub fn write_register(writer: &mut impl Write, rows: u64, label: &str) -> Result
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure or a malformed frame.
+/// [`Error::Source`] on I/O failure, a malformed frame, another daemon's
+/// opening frame, or a register frame of another protocol version.
 pub fn read_register(reader: &mut impl Read) -> Result<(u64, String)> {
-    let body = read_frame_from(reader)?;
-    let corrupt = || Error::Source("corrupt wire register frame".into());
-    if body.first() != Some(&FRAME_REGISTER) || body.len() < 12 {
-        return Err(corrupt());
-    }
-    if body[1] < 2 {
-        return Err(Error::Source(format!(
-            "register frame speaks protocol version {} (coordination needs v2)",
-            body[1]
-        )));
+    let body = read_opening(reader, FRAME_REGISTER, "register")?;
+    if body.len() < 12 {
+        return Err(Error::Source("corrupt wire register frame".into()));
     }
     let rows = u64::from_le_bytes(body[2..10].try_into().expect("8 bytes"));
     Ok((rows, pop_label(&body, 10, "register")?))
@@ -354,12 +318,23 @@ pub fn write_lease(writer: &mut impl Write, lease: &ShardAssignment) -> Result<(
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure or a malformed frame.
+/// [`Error::Source`] on I/O failure, a malformed frame, a lease of another
+/// protocol version, or the coordinator's error frame in its place.
 pub fn read_lease(reader: &mut impl Read) -> Result<ShardAssignment> {
     let body = read_frame_from(reader)?;
-    let corrupt = || Error::Source("corrupt wire lease frame".into());
-    if body.first() != Some(&FRAME_LEASE) || body.len() < 12 {
-        return Err(corrupt());
+    match body[0] {
+        FRAME_LEASE => {}
+        FRAME_ERROR => {
+            return Err(Error::Source(format!(
+                "coordinator refused the registration: {}",
+                String::from_utf8_lossy(&body[1..])
+            )))
+        }
+        _ => return Err(Error::Source("corrupt wire lease frame".into())),
+    }
+    check_version("lease", body.get(1))?;
+    if body.len() < 12 {
+        return Err(Error::Source("corrupt wire lease frame".into()));
     }
     let id_base = u64::from_le_bytes(body[2..10].try_into().expect("8 bytes"));
     Ok(ShardAssignment {
@@ -368,116 +343,58 @@ pub fn read_lease(reader: &mut impl Read) -> Result<ShardAssignment> {
     })
 }
 
-/// The query announcement a v3 pushdown client sends before reading the
-/// hello: the top-k parameters the server needs to evaluate the per-shard
-/// Theorem-2 stopping bound during replay.
+/// The scan-open frame's parameters: the top-k query the server needs to
+/// evaluate its per-shard Theorem-2 stopping bound during the scan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PushdownQuery {
-    /// Number of answers requested; `0` asks the server to stream everything
-    /// (a full-replay query that still wants the v3 trailer accounting).
+    /// Number of answers requested; `0` asks the server to stream the whole
+    /// shard (a full-stream scan for U-Topk witnesses or enumeration).
     pub k: u64,
     /// The paper's pτ stopping parameter (ignored when `k == 0`).
     pub p_tau: f64,
 }
 
-/// Frames a v3 query announcement and flushes. The pushdown client sends
-/// this immediately after connecting, **before** reading the hello.
+/// Frames a scan-open and flushes: the first frame of every shard
+/// connection, sent before reading the server's hello.
 ///
 /// # Errors
 ///
 /// [`Error::Source`] on I/O failure.
-pub fn write_query(writer: &mut impl Write, query: &PushdownQuery) -> Result<()> {
-    let mut body = Vec::with_capacity(17);
-    body.push(FRAME_QUERY);
+pub fn write_scan_open(writer: &mut impl Write, query: &PushdownQuery) -> Result<()> {
+    let mut body = Vec::with_capacity(18);
+    body.push(FRAME_SCAN_OPEN);
+    body.push(WIRE_VERSION);
     body.extend_from_slice(&query.k.to_le_bytes());
     body.extend_from_slice(&query.p_tau.to_bits().to_le_bytes());
     write_frame_to(writer, &body)?;
     writer.flush().map_err(|e| io_err("flush", e))
 }
 
-/// Server-side decode of a [`write_query`] frame.
-///
-/// This is the strict pre-block decoder: it accepts only the 17-byte v3
-/// layout, which is exactly why a block-capable client that guessed wrong
-/// about its peer gets an immediate error (and redials speaking plain v3)
-/// instead of a silent misinterpretation. New servers use
-/// [`read_query_negotiated`].
+/// Server-side decode of a [`write_scan_open`] frame.
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, a malformed frame, or (for `k > 0`) a
-/// pτ outside `(0, 1)`.
-pub fn read_query(reader: &mut impl Read) -> Result<PushdownQuery> {
-    let body = read_frame_from(reader)?;
-    if body.first() != Some(&FRAME_QUERY) || body.len() != 17 {
-        return Err(Error::Source("corrupt wire query frame".into()));
+/// [`Error::Source`] on I/O failure, a malformed frame, another daemon's
+/// opening frame, a scan-open of another protocol version, or (for `k > 0`)
+/// a pτ outside `(0, 1)`.
+pub fn read_scan_open(reader: &mut impl Read) -> Result<PushdownQuery> {
+    let body = read_opening(reader, FRAME_SCAN_OPEN, "scan-open")?;
+    if body.len() != 18 {
+        return Err(Error::Source("corrupt wire scan-open frame".into()));
     }
-    decode_query_fields(&body)
-}
-
-/// Decodes the shared `(k, p_tau)` fields at `body[1..17]`.
-fn decode_query_fields(body: &[u8]) -> Result<PushdownQuery> {
-    let k = u64::from_le_bytes(body[1..9].try_into().expect("8 bytes"));
-    let p_tau = f64::from_bits(u64::from_le_bytes(body[9..17].try_into().expect("8 bytes")));
+    let k = u64::from_le_bytes(body[2..10].try_into().expect("8 bytes"));
+    let p_tau = f64::from_bits(u64::from_le_bytes(
+        body[10..18].try_into().expect("8 bytes"),
+    ));
     if k > 0 && !(p_tau > 0.0 && p_tau < 1.0) {
         return Err(Error::Source(format!(
-            "wire query frame carries p_tau {p_tau} outside (0, 1)"
+            "wire scan-open frame carries p_tau {p_tau} outside (0, 1)"
         )));
     }
     Ok(PushdownQuery { k, p_tau })
 }
 
-/// Frames a block-capable query announcement and flushes: the v3 query
-/// fields plus the largest tuple-block (in rows) the client wants per frame.
-///
-/// Negotiation is client-speaks-first, like every extension since v3: a
-/// block-capable server answers with its hello and ships
-/// [`WireWriter::write_block`] frames; a **pre-block v3–v5 server** rejects
-/// the unknown first frame (its [`read_query`] is strict), which the client
-/// observes as a failed hello and handles by redialing with the plain
-/// [`write_query`] announcement — old servers never see block frames, old
-/// byte layouts are untouched.
-///
-/// # Errors
-///
-/// [`Error::Source`] on I/O failure.
-pub fn write_query_blocks(
-    writer: &mut impl Write,
-    query: &PushdownQuery,
-    max_block: u16,
-) -> Result<()> {
-    let mut body = Vec::with_capacity(19);
-    body.push(FRAME_QUERY_BLOCKS);
-    body.extend_from_slice(&query.k.to_le_bytes());
-    body.extend_from_slice(&query.p_tau.to_bits().to_le_bytes());
-    body.extend_from_slice(&max_block.to_le_bytes());
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
-}
-
-/// Server-side decode of a query announcement in either layout: the plain
-/// v3 [`write_query`] frame (returns `None` for the block size — ship
-/// per-tuple frames) or the block-capable [`write_query_blocks`] frame
-/// (returns the client's requested rows-per-block, clamped to ≥ 1).
-///
-/// # Errors
-///
-/// [`Error::Source`] on I/O failure, a malformed frame, or (for `k > 0`) a
-/// pτ outside `(0, 1)`.
-pub fn read_query_negotiated(reader: &mut impl Read) -> Result<(PushdownQuery, Option<u16>)> {
-    let body = read_frame_from(reader)?;
-    match body.first() {
-        Some(&FRAME_QUERY) if body.len() == 17 => Ok((decode_query_fields(&body)?, None)),
-        Some(&FRAME_QUERY_BLOCKS) if body.len() == 19 => {
-            let query = decode_query_fields(&body)?;
-            let max_block = u16::from_le_bytes(body[17..19].try_into().expect("2 bytes")).max(1);
-            Ok((query, Some(max_block)))
-        }
-        _ => Err(Error::Source("corrupt wire query frame".into())),
-    }
-}
-
-/// Frames a v3 bound update — the merge-side gate's accumulated probability
+/// Frames a bound update — the merge-side gate's accumulated probability
 /// mass — and flushes. The client pushes these periodically while pulling
 /// tuples; the server folds the latest mass into its conservative stopping
 /// bound.
@@ -493,7 +410,7 @@ pub fn write_bound(writer: &mut impl Write, mass: f64) -> Result<()> {
     writer.flush().map_err(|e| io_err("flush", e))
 }
 
-/// The v3 stopped-at trailer: how the server's replay ended, sent just
+/// The stopped-at trailer: how the server's scan ended, sent just
 /// before the end frame so the client can account shipped-vs-scanned tuples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoppedAt {
@@ -501,13 +418,13 @@ pub struct StoppedAt {
     pub scanned: u64,
     /// Tuples the server actually framed onto the wire.
     pub shipped: u64,
-    /// `true` when the server's conservative scan gate stopped the replay;
+    /// `true` when the server's conservative scan gate stopped the scan;
     /// `false` when the shard was exhausted.
     pub gate_limited: bool,
 }
 
-/// A control frame a v3 server drains off the client half of the socket
-/// mid-replay.
+/// A control frame a shard server drains off the client half of the socket
+/// mid-scan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlFrame {
     /// A [`write_bound`] update carrying the merge-side accumulated mass.
@@ -567,7 +484,7 @@ impl ControlParser {
     }
 }
 
-/// A v4 query request: the full query shape a client asks a query-serving
+/// A query request: the full query shape a client asks a query-serving
 /// daemon to execute against one of its resident datasets. Everything that
 /// influences the answer is on the wire — the serving side uses the same
 /// fields as its result-cache key, so two requests that encode identically
@@ -578,10 +495,6 @@ impl ControlParser {
 /// range-checks) the codes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
-    /// Protocol version the request speaks ([`WIRE_VERSION_V4`] through
-    /// [`WIRE_VERSION_V6`]). The server echoes it in the result header, so a
-    /// v4 client keeps receiving the byte-identical v4 result layout.
-    pub version: u8,
     /// Name of the server-resident dataset to query.
     pub dataset: String,
     /// Number of answers requested (`k >= 1`).
@@ -603,14 +516,8 @@ pub struct QueryRequest {
 
 /// Appends the version-through-flags query-shape fields shared by the query
 /// request and subscribe frames.
-fn push_query_shape(body: &mut Vec<u8>, request: &QueryRequest) -> Result<()> {
-    if !(WIRE_VERSION_V4..=WIRE_VERSION_V6).contains(&request.version) {
-        return Err(Error::Source(format!(
-            "query request version {} is not a version this build speaks (v4-v6)",
-            request.version
-        )));
-    }
-    body.push(request.version);
+fn push_query_shape(body: &mut Vec<u8>, request: &QueryRequest) {
+    body.push(WIRE_VERSION);
     body.extend_from_slice(&request.k.to_le_bytes());
     body.extend_from_slice(&request.p_tau.to_bits().to_le_bytes());
     body.extend_from_slice(&request.typical_count.to_le_bytes());
@@ -618,50 +525,30 @@ fn push_query_shape(body: &mut Vec<u8>, request: &QueryRequest) -> Result<()> {
     body.push(request.algorithm);
     body.push(request.coalesce);
     body.push(u8::from(request.u_topk));
-    Ok(())
 }
 
 /// Frames a query request and flushes. The client sends this immediately
-/// after connecting — the query-serving exchange has no hello. The frame
-/// carries [`QueryRequest::version`]: v4 requests encode byte-identically to
-/// the v4 release, v5 requests tell the server to stamp epoch metadata into
-/// the result header.
+/// after connecting — the query-serving exchange has no hello.
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, an over-long dataset name, or a version
-/// this build does not speak.
+/// [`Error::Source`] on I/O failure or an over-long dataset name.
 pub fn write_query_request(writer: &mut impl Write, request: &QueryRequest) -> Result<()> {
     let mut body = Vec::with_capacity(39 + request.dataset.len());
     body.push(FRAME_QUERY_REQUEST);
-    push_query_shape(&mut body, request)?;
+    push_query_shape(&mut body, request);
     push_label(&mut body, &request.dataset)?;
     write_frame_to(writer, &body)?;
     writer.flush().map_err(|e| io_err("flush", e))
 }
 
-/// Decodes the version-through-flags query shape starting at `body[1]`,
-/// shared by the query request and subscribe frames. Returns the fields and
-/// the offset past them; the caller decodes what follows (max-pushes for a
-/// subscription) and the trailing dataset label.
-fn pop_query_shape(
-    body: &[u8],
-    what: &'static str,
-    min_version: u8,
-) -> Result<(QueryRequest, usize)> {
+/// Decodes the query shape after the (already checked) version byte at
+/// `body[1]`, shared by the query request and subscribe frames. Returns the
+/// fields and the offset past them; the caller decodes what follows
+/// (max-pushes for a subscription) and the trailing dataset label.
+fn pop_query_shape(body: &[u8], what: &'static str) -> Result<(QueryRequest, usize)> {
     if body.len() < 39 {
         return Err(Error::Source(format!("corrupt wire {what} frame")));
-    }
-    let version = body[1];
-    if !(WIRE_VERSION_V4..=WIRE_VERSION_V6).contains(&version) {
-        return Err(Error::Source(format!(
-            "{what} speaks protocol version {version} (query serving needs v4)"
-        )));
-    }
-    if version < min_version {
-        return Err(Error::Source(format!(
-            "{what} needs protocol version {min_version} or later (got v{version})"
-        )));
     }
     let k = u64::from_le_bytes(body[2..10].try_into().expect("8 bytes"));
     let p_tau = f64::from_bits(u64::from_le_bytes(
@@ -682,7 +569,6 @@ fn pop_query_shape(
     }
     Ok((
         QueryRequest {
-            version,
             dataset: String::new(),
             k,
             p_tau,
@@ -698,7 +584,7 @@ fn pop_query_shape(
 
 /// Decodes a [`write_query_request`] frame body (kind byte already matched).
 fn decode_query_request(body: &[u8]) -> Result<QueryRequest> {
-    let (mut request, at) = pop_query_shape(body, "query request", WIRE_VERSION_V4)?;
+    let (mut request, at) = pop_query_shape(body, "query request")?;
     request.dataset = pop_label(body, at, "query request")?;
     Ok(request)
 }
@@ -707,17 +593,14 @@ fn decode_query_request(body: &[u8]) -> Result<QueryRequest> {
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, a malformed frame, a version other than
-/// v4/v5, `k == 0`, or a pτ outside `(0, 1)`.
+/// [`Error::Source`] on I/O failure, a malformed frame, another daemon's
+/// opening frame, a request of another protocol version, `k == 0`, or a pτ
+/// outside `(0, 1)`.
 pub fn read_query_request(reader: &mut impl Read) -> Result<QueryRequest> {
-    let body = read_frame_from(reader)?;
-    if body.first() != Some(&FRAME_QUERY_REQUEST) {
-        return Err(Error::Source("corrupt wire query request frame".into()));
-    }
-    decode_query_request(&body)
+    decode_query_request(&read_opening(reader, FRAME_QUERY_REQUEST, "query request")?)
 }
 
-/// One typical answer as it travels in a v4 result header: the score line it
+/// One typical answer as it travels in a result header: the score line it
 /// represents, the line's probability, and (when the engine tracked
 /// witnesses) the most probable vector attaining it.
 #[derive(Debug, Clone, PartialEq)]
@@ -730,7 +613,7 @@ pub struct WireTypical {
     pub vector: Option<TopkVector>,
 }
 
-/// The U-Top-k baseline answer as it travels in a v4 result header.
+/// The U-Top-k baseline answer as it travels in a result header.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireUTopk {
     /// The most probable top-k vector.
@@ -746,12 +629,6 @@ pub struct WireUTopk {
 /// bit-identical to the server-side computation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
-    /// Protocol version of the result layout ([`WIRE_VERSION_V4`] through
-    /// [`WIRE_VERSION_V6`]). Servers echo the version the request spoke; a
-    /// v4 result encodes byte-identically to the v4 release and carries
-    /// `epoch`/`cache_generation` as zero, and pre-v6 results carry the
-    /// live-scan tail (`live`/`live_segments`/`compacted_epoch`) as zero.
-    pub version: u8,
     /// Whether the server answered from its result cache.
     pub cache_hit: bool,
     /// Scan depth the server-side execution observed.
@@ -768,20 +645,20 @@ pub struct QueryResult {
     pub typical: Vec<WireTypical>,
     /// The U-Top-k baseline answer, when the request asked for it.
     pub u_topk: Option<WireUTopk>,
-    /// Epoch of the dataset snapshot the answer was computed against
-    /// (v5 results; `0` for v4 results and static datasets).
+    /// Epoch of the dataset snapshot the answer was computed against (`0`
+    /// for static datasets).
     pub epoch: u64,
     /// The server's result-cache generation — bumped on every append/seal
-    /// that advanced any live dataset's epoch (v5 results; `0` on v4).
+    /// that advanced any live dataset's epoch.
     pub cache_generation: u64,
     /// Whether the answered dataset is live — i.e. whether the segment/
-    /// compaction tail below is meaningful (v6 results; `false` on pre-v6).
+    /// compaction tail below is meaningful.
     pub live: bool,
     /// Sealed segments under the live snapshot the answer was computed
-    /// against (v6 results for live datasets; `0` otherwise).
+    /// against (`0` for static datasets).
     pub live_segments: u64,
     /// Epoch of the live log's most recent compaction, `0` when it was
-    /// never compacted (v6 results for live datasets; `0` otherwise).
+    /// never compacted (or the dataset is static).
     pub compacted_epoch: u64,
 }
 
@@ -929,7 +806,7 @@ fn flush_chunk(writer: &mut impl Write, chunk: &mut Vec<u8>, count: &mut u16) ->
     Ok(())
 }
 
-/// Frames a v4 query result — header, distribution chunks, end frame — and
+/// Frames a query result — header, distribution chunks, end frame — and
 /// flushes. Chunks are packed up to the frame-body limit, so the full
 /// distribution streams regardless of its line count.
 ///
@@ -939,15 +816,9 @@ fn flush_chunk(writer: &mut impl Write, chunk: &mut Vec<u8>, count: &mut u16) ->
 /// exceeds the frame-body limit (vectors of more than `u16::MAX` ids, or a
 /// pathological typical-answer set).
 pub fn write_query_result(writer: &mut impl Write, result: &QueryResult) -> Result<()> {
-    if !(WIRE_VERSION_V4..=WIRE_VERSION_V6).contains(&result.version) {
-        return Err(Error::Source(format!(
-            "query result version {} is not a version this build speaks (v4-v6)",
-            result.version
-        )));
-    }
     let mut body = Vec::with_capacity(128);
     body.push(FRAME_QUERY_RESULT);
-    body.push(result.version);
+    body.push(WIRE_VERSION);
     let mut flags = 0u8;
     if result.cache_hit {
         flags |= 1;
@@ -985,18 +856,11 @@ pub fn write_query_result(writer: &mut impl Write, result: &QueryResult) -> Resu
         body.extend_from_slice(&u_topk.expansions.to_le_bytes());
         body.extend_from_slice(&u_topk.deepest_position.to_le_bytes());
     }
-    if result.version >= WIRE_VERSION_V5 {
-        // v5 only: a v4 client reads the byte-identical v4 header.
-        body.extend_from_slice(&result.epoch.to_le_bytes());
-        body.extend_from_slice(&result.cache_generation.to_le_bytes());
-    }
-    if result.version >= WIRE_VERSION_V6 {
-        // v6 only: the live-scan tail. Pre-v6 clients asked for pre-v6
-        // results and read a byte-identical older header.
-        body.push(u8::from(result.live));
-        body.extend_from_slice(&result.live_segments.to_le_bytes());
-        body.extend_from_slice(&result.compacted_epoch.to_le_bytes());
-    }
+    body.extend_from_slice(&result.epoch.to_le_bytes());
+    body.extend_from_slice(&result.cache_generation.to_le_bytes());
+    body.push(u8::from(result.live));
+    body.extend_from_slice(&result.live_segments.to_le_bytes());
+    body.extend_from_slice(&result.compacted_epoch.to_le_bytes());
     if body.len() > MAX_FRAME_BODY {
         return Err(Error::Source(format!(
             "query result header of {} bytes exceeds the {MAX_FRAME_BODY}-byte frame limit",
@@ -1034,9 +898,10 @@ pub fn write_query_result(writer: &mut impl Write, result: &QueryResult) -> Resu
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, a malformed frame, a point count that
-/// does not match the header's announcement, or a server-side failure (an
-/// error frame in place of the header or mid-stream).
+/// [`Error::Source`] on I/O failure, a malformed frame, a header of another
+/// protocol version, a point count that does not match the header's
+/// announcement, or a server-side failure (an error frame in place of the
+/// header or mid-stream).
 pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
     let remote_failed = |body: &[u8]| {
         Error::Source(format!(
@@ -1051,13 +916,8 @@ pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
         Some(&FRAME_BUSY) => return Err(busy_error(&body)),
         _ => return Err(Error::Source("corrupt wire query result frame".into())),
     }
-    let mut cursor = FrameCursor::new(&body, 1, "query result");
-    let version = cursor.u8()?;
-    if !(WIRE_VERSION_V4..=WIRE_VERSION_V6).contains(&version) {
-        return Err(Error::Source(format!(
-            "unsupported query result protocol version {version}"
-        )));
-    }
+    check_version("query result", body.get(1))?;
+    let mut cursor = FrameCursor::new(&body, 2, "query result");
     let flags = cursor.u8()?;
     if flags > 3 {
         return Err(cursor.corrupt());
@@ -1093,25 +953,19 @@ pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
     } else {
         None
     };
-    let (epoch, cache_generation) = if version >= WIRE_VERSION_V5 {
-        (cursor.u64()?, cursor.u64()?)
-    } else {
-        (0, 0)
+    let epoch = cursor.u64()?;
+    let cache_generation = cursor.u64()?;
+    let live = match cursor.u8()? {
+        0 => false,
+        1 => true,
+        other => {
+            return Err(Error::Source(format!(
+                "corrupt query result live flag {other}"
+            )));
+        }
     };
-    let (live, live_segments, compacted_epoch) = if version >= WIRE_VERSION_V6 {
-        let live = match cursor.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(Error::Source(format!(
-                    "corrupt query result live flag {other}"
-                )));
-            }
-        };
-        (live, cursor.u64()?, cursor.u64()?)
-    } else {
-        (false, 0, 0)
-    };
+    let live_segments = cursor.u64()?;
+    let compacted_epoch = cursor.u64()?;
     cursor.finish()?;
 
     // The announced count sizes the allocation only up to a clamp — the
@@ -1141,7 +995,6 @@ pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
         )));
     }
     Ok(QueryResult {
-        version,
         cache_hit: flags & 1 != 0,
         scan_depth,
         distribution_time_ns,
@@ -1158,11 +1011,11 @@ pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
     })
 }
 
-/// Frames a server-side failure on a v4 query connection and flushes: sent in
-/// place of the result header (or mid-stream) so the client's
-/// [`read_query_result`] surfaces it as [`Error::Source`]. Also the
-/// query-serving daemon's answer to a peer that opened with anything other
-/// than a request frame — pre-v4 peers get a decodable refusal, not a hang.
+/// Frames a server-side failure and flushes: sent in place of any reply (or
+/// mid-stream) so the client's decoder surfaces it as [`Error::Source`].
+/// Also every daemon's answer to an opening frame it refuses — another
+/// daemon's frame, another protocol version, garbage — so a mismatched
+/// peer gets a decodable refusal, not a hang.
 ///
 /// # Errors
 ///
@@ -1175,7 +1028,7 @@ pub fn write_query_error(writer: &mut impl Write, message: &str) -> Result<()> {
     writer.flush().map_err(|e| io_err("flush", e))
 }
 
-/// Frames a v5 busy/retry-after refusal and flushes: the admission-control
+/// Frames a busy/retry-after refusal and flushes: the admission-control
 /// answer of a daemon whose worker handoff would block. Sent in place of any
 /// reply (the daemon closes right after), so a flood is shed with one cheap
 /// frame instead of sitting in the listen backlog.
@@ -1186,7 +1039,7 @@ pub fn write_query_error(writer: &mut impl Write, message: &str) -> Result<()> {
 pub fn write_busy(writer: &mut impl Write, retry_after_ms: u64) -> Result<()> {
     let mut body = Vec::with_capacity(10);
     body.push(FRAME_BUSY);
-    body.push(WIRE_VERSION_V5);
+    body.push(WIRE_VERSION);
     body.extend_from_slice(&retry_after_ms.to_le_bytes());
     write_frame_to(writer, &body)?;
     writer.flush().map_err(|e| io_err("flush", e))
@@ -1197,7 +1050,10 @@ pub fn write_busy(writer: &mut impl Write, retry_after_ms: u64) -> Result<()> {
 /// retrying clients treat as final — a busy refusal is the one server answer
 /// that is *meant* to be retried.
 fn busy_error(body: &[u8]) -> Error {
-    if body.len() != 10 || body[1] != WIRE_VERSION_V5 {
+    if let Err(e) = check_version("busy", body.get(1)) {
+        return e;
+    }
+    if body.len() != 10 {
         return Error::Source("corrupt wire busy frame".into());
     }
     let retry_after_ms = u64::from_le_bytes(body[2..10].try_into().expect("8 bytes"));
@@ -1206,7 +1062,7 @@ fn busy_error(body: &[u8]) -> Error {
     ))
 }
 
-/// A v5 append request: scored rows for one of the server's live datasets,
+/// An append request: scored rows for one of the server's live datasets,
 /// with an optional seal trigger publishing them as a new snapshot epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppendRequest {
@@ -1252,7 +1108,7 @@ fn pop_source_tuple(cursor: &mut FrameCursor<'_>) -> Result<SourceTuple> {
     }
 }
 
-/// Frames a v5 append request — header, row chunks, end frame — and flushes.
+/// Frames an append request — header, row chunks, end frame — and flushes.
 /// Rows pack into size-bounded chunk frames like a result's distribution
 /// points, so an append of any size streams without oversized frames.
 ///
@@ -1269,7 +1125,7 @@ pub fn write_append_request(writer: &mut impl Write, request: &AppendRequest) ->
     }
     let mut body = Vec::with_capacity(13 + request.dataset.len());
     body.push(FRAME_APPEND);
-    body.push(WIRE_VERSION_V5);
+    body.push(WIRE_VERSION);
     body.push(u8::from(request.seal));
     body.extend_from_slice(&(request.rows.len() as u64).to_le_bytes());
     push_label(&mut body, &request.dataset)?;
@@ -1297,11 +1153,11 @@ pub fn write_append_request(writer: &mut impl Write, request: &AppendRequest) ->
 }
 
 /// Decodes the row chunks and end frame following an append header whose
-/// body is `body`. Cross-checks the shipped row count against the header's
-/// announcement.
+/// (version-checked) body is `body`. Cross-checks the shipped row count
+/// against the header's announcement.
 fn read_append_rows(reader: &mut impl Read, body: &[u8]) -> Result<AppendRequest> {
     let corrupt = || Error::Source("corrupt wire append request frame".into());
-    if body.len() < 13 || body[1] != WIRE_VERSION_V5 || body[2] > 1 {
+    if body.len() < 13 || body[2] > 1 {
         return Err(corrupt());
     }
     let seal = body[2] == 1;
@@ -1370,7 +1226,7 @@ pub struct AppendAck {
     pub sealed_now: bool,
 }
 
-/// Frames a v5 append acknowledgement and flushes.
+/// Frames an append acknowledgement and flushes.
 ///
 /// # Errors
 ///
@@ -1378,7 +1234,7 @@ pub struct AppendAck {
 pub fn write_append_ack(writer: &mut impl Write, ack: &AppendAck) -> Result<()> {
     let mut body = Vec::with_capacity(27);
     body.push(FRAME_APPEND_ACK);
-    body.push(WIRE_VERSION_V5);
+    body.push(WIRE_VERSION);
     body.push(u8::from(ack.sealed_now));
     body.extend_from_slice(&ack.epoch.to_le_bytes());
     body.extend_from_slice(&ack.staged.to_le_bytes());
@@ -1394,8 +1250,8 @@ pub fn write_append_ack(writer: &mut impl Write, ack: &AppendAck) -> Result<()> 
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, a malformed frame, a server-side
-/// refusal, or a busy refusal.
+/// [`Error::Source`] on I/O failure, a malformed frame, an acknowledgement
+/// of another protocol version, a server-side refusal, or a busy refusal.
 pub fn read_append_ack(reader: &mut impl Read) -> Result<AppendAck> {
     let body = read_frame_from(reader)?;
     match body.first() {
@@ -1409,7 +1265,8 @@ pub fn read_append_ack(reader: &mut impl Read) -> Result<AppendAck> {
         Some(&FRAME_BUSY) => return Err(busy_error(&body)),
         _ => return Err(Error::Source("corrupt wire append ack frame".into())),
     }
-    if body.len() != 27 || body[1] != WIRE_VERSION_V5 || body[2] > 1 {
+    check_version("append ack", body.get(1))?;
+    if body.len() != 27 || body[2] > 1 {
         return Err(Error::Source("corrupt wire append ack frame".into()));
     }
     Ok(AppendAck {
@@ -1420,36 +1277,28 @@ pub fn read_append_ack(reader: &mut impl Read) -> Result<AppendAck> {
     })
 }
 
-/// A v5 subscription request: a standing query the server re-evaluates on
+/// A subscription request: a standing query the server re-evaluates on
 /// every epoch advance of the named live dataset, pushing a notification
 /// (plus a full result stream) only when the answer distribution shifted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubscribeRequest {
-    /// The standing query shape (its `dataset` names the live dataset; its
-    /// `version` must be [`WIRE_VERSION_V5`]).
+    /// The standing query shape (its `dataset` names the live dataset).
     pub query: QueryRequest,
     /// Pushes after which the server closes the subscription (`0` = no
     /// limit; the subscription lives until a side disconnects).
     pub max_pushes: u64,
 }
 
-/// Frames a v5 subscribe request and flushes. Sent immediately after
+/// Frames a subscribe request and flushes. Sent immediately after
 /// connecting, like the query request it extends.
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, an over-long dataset name, or a query
-/// whose version is not v5.
+/// [`Error::Source`] on I/O failure or an over-long dataset name.
 pub fn write_subscribe(writer: &mut impl Write, request: &SubscribeRequest) -> Result<()> {
-    if request.query.version != WIRE_VERSION_V5 {
-        return Err(Error::Source(format!(
-            "subscriptions need protocol version {WIRE_VERSION_V5} (request speaks v{})",
-            request.query.version
-        )));
-    }
     let mut body = Vec::with_capacity(47 + request.query.dataset.len());
     body.push(FRAME_SUBSCRIBE);
-    push_query_shape(&mut body, &request.query)?;
+    push_query_shape(&mut body, &request.query);
     body.extend_from_slice(&request.max_pushes.to_le_bytes());
     push_label(&mut body, &request.query.dataset)?;
     write_frame_to(writer, &body)?;
@@ -1458,7 +1307,7 @@ pub fn write_subscribe(writer: &mut impl Write, request: &SubscribeRequest) -> R
 
 /// Decodes a [`write_subscribe`] frame body (kind byte already matched).
 fn decode_subscribe(body: &[u8]) -> Result<SubscribeRequest> {
-    let (mut query, at) = pop_query_shape(body, "subscribe request", WIRE_VERSION_V5)?;
+    let (mut query, at) = pop_query_shape(body, "subscribe request")?;
     let corrupt = || Error::Source("corrupt wire subscribe request frame".into());
     let max_pushes = u64::from_le_bytes(
         body.get(at..at + 8)
@@ -1472,7 +1321,7 @@ fn decode_subscribe(body: &[u8]) -> Result<SubscribeRequest> {
 
 /// One subscription push announcement: the epoch the standing query was
 /// re-evaluated at and the answer-distribution hash that shifted. A complete
-/// v5 result stream ([`read_query_result`]) follows every notification.
+/// result stream ([`read_query_result`]) follows every notification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Notification {
     /// Epoch of the snapshot the pushed answer was computed against.
@@ -1482,7 +1331,7 @@ pub struct Notification {
     pub answer_hash: u64,
 }
 
-/// Frames a v5 notification. The caller streams the full query result right
+/// Frames a notification. The caller streams the full query result right
 /// after it; no flush here, so notification + result leave as one write.
 ///
 /// # Errors
@@ -1491,7 +1340,7 @@ pub struct Notification {
 pub fn write_notification(writer: &mut impl Write, notification: &Notification) -> Result<()> {
     let mut body = Vec::with_capacity(18);
     body.push(FRAME_NOTIFY);
-    body.push(WIRE_VERSION_V5);
+    body.push(WIRE_VERSION);
     body.extend_from_slice(&notification.epoch.to_le_bytes());
     body.extend_from_slice(&notification.answer_hash.to_le_bytes());
     write_frame_to(writer, &body)
@@ -1524,13 +1373,16 @@ pub fn write_push_end(writer: &mut impl Write) -> Result<()> {
 pub fn read_push(reader: &mut impl Read) -> Result<Option<Notification>> {
     let body = read_frame_from(reader)?;
     match body.first() {
-        Some(&FRAME_NOTIFY) if body.len() == 18 && body[1] == WIRE_VERSION_V5 => {
+        Some(&FRAME_NOTIFY) => {
+            check_version("notification", body.get(1))?;
+            if body.len() != 18 {
+                return Err(Error::Source("corrupt wire notification frame".into()));
+            }
             Ok(Some(Notification {
                 epoch: u64::from_le_bytes(body[2..10].try_into().expect("8 bytes")),
                 answer_hash: u64::from_le_bytes(body[10..18].try_into().expect("8 bytes")),
             }))
         }
-        Some(&FRAME_NOTIFY) => Err(Error::Source("corrupt wire notification frame".into())),
         Some(&FRAME_END) if body.len() == 1 => Ok(None),
         Some(&FRAME_ERROR) => Err(Error::Source(format!(
             "remote subscription failed: {}",
@@ -1561,7 +1413,7 @@ fn pop_label_chained(body: &[u8], at: usize, what: &str) -> Result<(String, usiz
     Ok((label, end))
 }
 
-/// The lifecycle verbs a wire-v6 admin client can send a serving daemon.
+/// The lifecycle verbs an admin client can send a serving daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdminVerb {
     /// Report the resident datasets, cache counters and runtime state.
@@ -1624,9 +1476,7 @@ pub struct AdminRequest {
     pub arg: String,
 }
 
-/// Frames a wire-v6 admin request and flushes. Client-speaks-first: a server
-/// that never receives one never emits a v6 byte, so v5-and-older peers
-/// interop byte-identically.
+/// Frames an admin request and flushes.
 ///
 /// # Errors
 ///
@@ -1634,7 +1484,7 @@ pub struct AdminRequest {
 pub fn write_admin_request(writer: &mut impl Write, request: &AdminRequest) -> Result<()> {
     let mut body = Vec::with_capacity(7 + request.name.len() + request.arg.len());
     body.push(FRAME_ADMIN);
-    body.push(WIRE_VERSION_V6);
+    body.push(WIRE_VERSION);
     body.push(request.verb.code());
     push_label(&mut body, &request.name)?;
     push_label(&mut body, &request.arg)?;
@@ -1648,17 +1498,11 @@ pub fn write_admin_request(writer: &mut impl Write, request: &AdminRequest) -> R
     writer.flush().map_err(|e| io_err("flush", e))
 }
 
-/// Decodes an already-read [`write_admin_request`] frame body.
+/// Decodes an already-read (version-checked) [`write_admin_request`] frame
+/// body.
 fn decode_admin(body: &[u8]) -> Result<AdminRequest> {
-    let corrupt = || Error::Source("corrupt wire admin frame".into());
     if body.len() < 3 {
-        return Err(corrupt());
-    }
-    if body[1] != WIRE_VERSION_V6 {
-        return Err(Error::Source(format!(
-            "admin frame speaks protocol version {} (the admin plane needs v6)",
-            body[1]
-        )));
+        return Err(Error::Source("corrupt wire admin frame".into()));
     }
     let verb = AdminVerb::from_code(body[2])
         .ok_or_else(|| Error::Source(format!("unknown admin verb {}", body[2])))?;
@@ -1677,7 +1521,7 @@ fn decode_admin(body: &[u8]) -> Result<AdminRequest> {
 pub fn write_admin_response(writer: &mut impl Write, text: &str) -> Result<()> {
     let mut body = Vec::with_capacity(2 + text.len());
     body.push(FRAME_ADMIN_RESPONSE);
-    body.push(WIRE_VERSION_V6);
+    body.push(WIRE_VERSION);
     body.extend_from_slice(text.as_bytes());
     if body.len() > MAX_FRAME_BODY {
         return Err(Error::Source(format!(
@@ -1694,13 +1538,15 @@ pub fn write_admin_response(writer: &mut impl Write, text: &str) -> Result<()> {
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, a malformed frame, a busy refusal (which
+/// [`Error::Source`] on I/O failure, a malformed frame, a response of another
+/// protocol version, a busy refusal (which
 /// clients may retry), or a server-side failure — surfaced with the `remote
 /// admin failed` prefix the retrying clients treat as final.
 pub fn read_admin_response(reader: &mut impl Read) -> Result<String> {
     let body = read_frame_from(reader)?;
     match body.first() {
-        Some(&FRAME_ADMIN_RESPONSE) if body.len() >= 2 && body[1] == WIRE_VERSION_V6 => {
+        Some(&FRAME_ADMIN_RESPONSE) => {
+            check_version("admin response", body.get(1))?;
             String::from_utf8(body[2..].to_vec())
                 .map_err(|_| Error::Source("corrupt wire admin response frame".into()))
         }
@@ -1714,42 +1560,53 @@ pub fn read_admin_response(reader: &mut impl Read) -> Result<String> {
 }
 
 /// The first frame a serving daemon reads off a fresh connection: one of
-/// the four client-speaks-first request kinds.
+/// the four query-serving request kinds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientRequest {
-    /// A one-shot query ([`write_query_request`], v4 through v6).
+    /// A one-shot query ([`write_query_request`]).
     Query(QueryRequest),
     /// An append (+ optional seal) to a live dataset
-    /// ([`write_append_request`], v5).
+    /// ([`write_append_request`]).
     Append(AppendRequest),
-    /// A standing-query subscription ([`write_subscribe`], v5).
+    /// A standing-query subscription ([`write_subscribe`]).
     Subscribe(SubscribeRequest),
-    /// A lifecycle verb on the admin plane ([`write_admin_request`], v6).
+    /// A lifecycle verb on the admin plane ([`write_admin_request`]).
     Admin(AdminRequest),
 }
 
 /// Server-side dispatch on the first frame of a connection: decodes a query,
 /// append (draining its row chunks), subscribe or admin request. Anything
-/// else — a pre-v4 hello, garbage — is an error the daemon answers with an
-/// error frame, so old peers fail cleanly instead of hanging.
+/// else — another daemon's opening frame, another protocol version,
+/// garbage — is an error the daemon answers with an error frame, so
+/// mismatched peers fail cleanly instead of hanging.
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, a malformed or unexpected frame, or
-/// invalid request fields.
+/// [`Error::Source`] on I/O failure, a malformed or unexpected frame, a
+/// request of another protocol version, or invalid request fields.
 pub fn read_client_request(reader: &mut impl Read) -> Result<ClientRequest> {
     let body = read_frame_from(reader)?;
-    match body.first() {
-        Some(&FRAME_QUERY_REQUEST) => Ok(ClientRequest::Query(decode_query_request(&body)?)),
-        Some(&FRAME_APPEND) => Ok(ClientRequest::Append(read_append_rows(reader, &body)?)),
-        Some(&FRAME_SUBSCRIBE) => Ok(ClientRequest::Subscribe(decode_subscribe(&body)?)),
-        Some(&FRAME_ADMIN) => Ok(ClientRequest::Admin(decode_admin(&body)?)),
-        Some(&other) => Err(Error::Source(format!(
-            "unexpected wire frame kind {other} (a query-serving daemon expects a query, \
-             append, subscribe or admin request)"
-        ))),
-        None => Err(Error::Source("corrupt wire request frame".into())),
+    let kind = body[0];
+    if ![
+        FRAME_QUERY_REQUEST,
+        FRAME_APPEND,
+        FRAME_SUBSCRIBE,
+        FRAME_ADMIN,
+    ]
+    .contains(&kind)
+    {
+        return Err(unexpected_opening(
+            kind,
+            "a query, append, subscribe or admin request",
+        ));
     }
+    check_version("request", body.get(1))?;
+    Ok(match kind {
+        FRAME_QUERY_REQUEST => ClientRequest::Query(decode_query_request(&body)?),
+        FRAME_APPEND => ClientRequest::Append(read_append_rows(reader, &body)?),
+        FRAME_SUBSCRIBE => ClientRequest::Subscribe(decode_subscribe(&body)?),
+        _ => ClientRequest::Admin(decode_admin(&body)?),
+    })
 }
 
 /// The coordinator's allocation state: hands out contiguous, non-overlapping
@@ -1806,14 +1663,15 @@ impl LeaseRegistry {
     }
 }
 
-/// The sending half of the codec: frames a rank-ordered tuple stream onto
+/// The server half of a shard scan: frames a rank-ordered tuple stream onto
 /// any blocking [`Write`].
 ///
-/// Construction writes the hello frame (protocol version plus an optional
-/// tuple-count hint the receiving planner can surface). Call
-/// [`write_tuple`](WireWriter::write_tuple) per tuple, then exactly one of
-/// [`finish`](WireWriter::finish) or [`fail`](WireWriter::fail);
-/// [`serve`](WireWriter::serve) drives all three from a [`TupleSource`].
+/// Construction writes the scan hello (protocol version, an optional
+/// tuple-count hint the receiving planner can surface, and the shard's
+/// assignment when the server holds one). Call
+/// [`write_block`](WireWriter::write_block) per block, optionally
+/// [`write_stopped`](WireWriter::write_stopped), then exactly one of
+/// [`finish`](WireWriter::finish) or [`fail`](WireWriter::fail).
 #[derive(Debug)]
 pub struct WireWriter<W: Write> {
     writer: W,
@@ -1821,69 +1679,22 @@ pub struct WireWriter<W: Write> {
 }
 
 impl<W: Write> WireWriter<W> {
-    /// Wraps `writer` and sends the **v1** hello frame carrying `size_hint` —
-    /// the layout every reader since protocol v1 decodes. Use
-    /// [`with_assignment`](WireWriter::with_assignment) to speak v2 to a
-    /// client that announced it.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Source`] when the hello frame cannot be written.
-    pub fn new(writer: W, size_hint: Option<usize>) -> Result<Self> {
-        let mut body = Vec::with_capacity(10);
-        body.push(FRAME_HELLO);
-        body.push(WIRE_VERSION_V1);
-        let hint = size_hint.map(|n| n as u64).unwrap_or(u64::MAX);
-        body.extend_from_slice(&hint.to_le_bytes());
-        let mut this = WireWriter { writer, bytes: 0 };
-        this.frame(&body)?;
-        Ok(this)
-    }
-
-    /// Wraps `writer` and sends the **v2** hello frame: `size_hint` plus the
-    /// shard's id-base/namespace assignment. Serve this layout only when the
-    /// server actually holds an assignment to advertise (a coordinator lease
-    /// or an operator-pinned namespace) — a v1 reader rejects it, which is
-    /// the intended contract: coordinated serving requires v2 consumers.
+    /// Wraps `writer` and sends the scan hello: `size_hint`, then an
+    /// assignment-present flag and the assignment fields when the server
+    /// holds one (a coordinator lease or an operator-pinned namespace).
     ///
     /// # Errors
     ///
     /// [`Error::Source`] when the hello frame cannot be written or the
     /// namespace label is over-long.
-    pub fn with_assignment(
-        writer: W,
-        size_hint: Option<usize>,
-        assignment: &ShardAssignment,
-    ) -> Result<Self> {
-        let mut body = Vec::with_capacity(20 + assignment.namespace.len());
-        body.push(FRAME_HELLO);
-        body.push(WIRE_VERSION);
-        let hint = size_hint.map(|n| n as u64).unwrap_or(u64::MAX);
-        body.extend_from_slice(&hint.to_le_bytes());
-        body.extend_from_slice(&assignment.id_base.to_le_bytes());
-        push_label(&mut body, &assignment.namespace)?;
-        let mut this = WireWriter { writer, bytes: 0 };
-        this.frame(&body)?;
-        Ok(this)
-    }
-
-    /// Wraps `writer` and sends the **v3** (query-mode) hello frame:
-    /// `size_hint`, an assignment-present flag, and the assignment fields
-    /// when the server holds one. Serve this layout only to a client that
-    /// announced itself with a query frame — old clients never see it.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Source`] when the hello frame cannot be written or the
-    /// namespace label is over-long.
-    pub fn v3(
+    pub fn new(
         writer: W,
         size_hint: Option<usize>,
         assignment: Option<&ShardAssignment>,
     ) -> Result<Self> {
         let mut body = Vec::with_capacity(19 + assignment.map_or(0, |a| 10 + a.namespace.len()));
         body.push(FRAME_HELLO);
-        body.push(WIRE_VERSION_V3);
+        body.push(WIRE_VERSION);
         let hint = size_hint.map(|n| n as u64).unwrap_or(u64::MAX);
         body.extend_from_slice(&hint.to_le_bytes());
         match assignment {
@@ -1899,9 +1710,8 @@ impl<W: Write> WireWriter<W> {
         Ok(this)
     }
 
-    /// Sends the v3 stopped-at trailer. Call exactly once, just before
-    /// [`finish`](WireWriter::finish), and only on streams opened with the
-    /// v3 hello.
+    /// Sends the stopped-at trailer. Call at most once, just before
+    /// [`finish`](WireWriter::finish).
     ///
     /// # Errors
     ///
@@ -1926,31 +1736,8 @@ impl<W: Write> WireWriter<W> {
         self.bytes
     }
 
-    /// Frames one tuple.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Source`] on I/O failure.
-    pub fn write_tuple(&mut self, tuple: &SourceTuple) -> Result<()> {
-        let mut body = Vec::with_capacity(34);
-        body.push(FRAME_TUPLE);
-        body.extend_from_slice(&tuple.tuple.id().raw().to_le_bytes());
-        body.extend_from_slice(&tuple.tuple.score().to_bits().to_le_bytes());
-        body.extend_from_slice(&tuple.tuple.prob().to_bits().to_le_bytes());
-        match tuple.group {
-            GroupKey::Independent => body.push(0),
-            GroupKey::Shared(key) => {
-                body.push(1);
-                body.extend_from_slice(&key.to_le_bytes());
-            }
-        }
-        self.frame(&body)
-    }
-
-    /// Frames a columnar tuple block as one or more kind-20 frames of at
+    /// Frames a columnar tuple block as one or more tuple-block frames of at
     /// most [`MAX_FRAME_BODY`] bytes each (an empty block frames nothing).
-    /// Only send on connections whose peer announced block support with the
-    /// kind-19 query frame — per-tuple peers treat kind 20 as corrupt.
     ///
     /// # Errors
     ///
@@ -1996,40 +1783,10 @@ impl<W: Write> WireWriter<W> {
         self.frame(&body)?;
         self.writer.flush().map_err(|e| io_err("flush", e))
     }
-
-    /// Pulls `source` to exhaustion and frames every tuple, terminating the
-    /// stream correctly on both outcomes: a clean end sends the end frame, a
-    /// source failure is forwarded as an error frame (and returned).
-    ///
-    /// Returns the number of tuples served.
-    ///
-    /// # Errors
-    ///
-    /// The source's error (after forwarding it to the peer), or
-    /// [`Error::Source`] on I/O failure.
-    pub fn serve(mut self, source: &mut dyn TupleSource) -> Result<usize> {
-        let mut served = 0usize;
-        loop {
-            match source.next_tuple() {
-                Ok(Some(tuple)) => {
-                    self.write_tuple(&tuple)?;
-                    served += 1;
-                }
-                Ok(None) => {
-                    self.finish()?;
-                    return Ok(served);
-                }
-                Err(error) => {
-                    self.fail(&error.to_string())?;
-                    return Err(error);
-                }
-            }
-        }
-    }
 }
 
-/// The receiving half of the codec: a [`TupleSource`] decoding frames from
-/// any blocking [`Read`].
+/// The client half of a shard scan: a [`TupleSource`] decoding the server's
+/// frames from any blocking [`Read`].
 ///
 /// The hello frame is read lazily on the first pull, so constructing a
 /// reader never blocks. Wrap network streams in a `BufReader` — the decoder
@@ -2041,12 +1798,12 @@ pub struct WireReader<R: Read> {
     done: bool,
     hint: Option<usize>,
     stopped: Option<StoppedAt>,
-    /// Undelivered remainder of the last kind-20 block frame; frames are
-    /// only read while this buffer is empty.
+    /// Undelivered remainder of the last block frame; frames are only read
+    /// while this buffer is empty.
     pending: TupleBlock,
     cursor: usize,
-    /// Kind-20 block frames decoded off the wire, and the rows they carried
-    /// — the framing truth, independent of how the consumer pulls (a merge
+    /// Block frames decoded off the wire, and the rows they carried — the
+    /// framing truth, independent of how the consumer pulls (a merge
     /// draining tuple-at-a-time still empties block frames through the
     /// buffer above).
     block_frames: u64,
@@ -2069,69 +1826,52 @@ impl<R: Read> WireReader<R> {
         }
     }
 
-    /// How many kind-20 block frames this reader has decoded so far, and
-    /// the total rows they carried — regardless of whether the consumer
-    /// pulled them back out as blocks or tuple-at-a-time. `(0, 0)` means the
-    /// peer framed every tuple individually (a pre-block server, or blocks
-    /// disabled at either end).
+    /// How many block frames this reader has decoded so far, and the total
+    /// rows they carried — regardless of whether the consumer pulled them
+    /// back out as blocks or tuple-at-a-time.
     pub fn block_frames_decoded(&self) -> (u64, u64) {
         (self.block_frames, self.block_frame_rows)
     }
 
+    /// Reads the next frame, ending the stream on failure.
     fn read_frame(&mut self) -> Result<Vec<u8>> {
-        read_frame_from(&mut self.reader)
+        read_frame_from(&mut self.reader).inspect_err(|_| self.done = true)
     }
 
     fn expect_hello(&mut self) -> Result<()> {
         let body = self.read_frame()?;
-        if body.first() != Some(&FRAME_HELLO) || body.len() < 10 {
-            return Err(Error::Source(
-                "wire stream does not start with a hello frame".into(),
-            ));
-        }
-        let version = body[1];
-        let assignment = match version {
-            WIRE_VERSION_V1 => {
-                if body.len() != 10 {
-                    return Err(Error::Source("corrupt v1 wire hello frame".into()));
-                }
-                None
+        match body[0] {
+            FRAME_HELLO => {}
+            FRAME_ERROR => return Err(remote_source_failed(&body)),
+            _ => {
+                return Err(Error::Source(
+                    "wire stream does not start with a hello frame".into(),
+                ))
             }
-            WIRE_VERSION => Some(ShardAssignment {
+        }
+        check_version("scan hello", body.get(1))?;
+        let corrupt = || Error::Source("corrupt wire hello frame".into());
+        let hint = u64::from_le_bytes(
+            body.get(2..10)
+                .ok_or_else(corrupt)?
+                .try_into()
+                .expect("8 bytes"),
+        );
+        let assignment = match body.get(10) {
+            Some(0) if body.len() == 11 => None,
+            Some(1) => Some(ShardAssignment {
                 id_base: u64::from_le_bytes(
-                    body.get(10..18)
-                        .ok_or_else(|| Error::Source("corrupt v2 wire hello frame".into()))?
+                    body.get(11..19)
+                        .ok_or_else(corrupt)?
                         .try_into()
                         .expect("8 bytes"),
                 ),
-                namespace: pop_label(&body, 18, "hello")?,
+                namespace: pop_label(&body, 19, "hello")?,
             }),
-            WIRE_VERSION_V3 => {
-                let corrupt = || Error::Source("corrupt v3 wire hello frame".into());
-                match body.get(10) {
-                    Some(0) if body.len() == 11 => None,
-                    Some(1) => Some(ShardAssignment {
-                        id_base: u64::from_le_bytes(
-                            body.get(11..19)
-                                .ok_or_else(corrupt)?
-                                .try_into()
-                                .expect("8 bytes"),
-                        ),
-                        namespace: pop_label(&body, 19, "hello")?,
-                    }),
-                    _ => return Err(corrupt()),
-                }
-            }
-            other => {
-                return Err(Error::Source(format!(
-                    "unsupported wire protocol version {other}"
-                )))
-            }
+            _ => return Err(corrupt()),
         };
-        let hint = u64::from_le_bytes(body[2..10].try_into().expect("8 bytes"));
         self.hint = (hint != u64::MAX).then_some(hint as usize);
         self.hello = Some(Hello {
-            version,
             size_hint: self.hint,
             assignment,
         });
@@ -2139,14 +1879,16 @@ impl<R: Read> WireReader<R> {
     }
 
     /// Forces the hello frame to be read (a no-op if already decoded) and
-    /// returns it. Lets a connection manager validate version and
+    /// returns it. Lets a connection manager validate the
     /// [`ShardAssignment`] **before** handing the reader to a merge — a dead
     /// or misconfigured peer then fails at connection time, where it can be
     /// retried, instead of mid-scan.
     ///
     /// # Errors
     ///
-    /// [`Error::Source`] when the stream does not open with a valid hello.
+    /// [`Error::Source`] when the stream does not open with a valid hello of
+    /// this protocol version — including the server's error frame in its
+    /// place, surfaced with the `remote source failed` prefix.
     pub fn hello(&mut self) -> Result<&Hello> {
         if self.hello.is_none() {
             if let Err(e) = self.expect_hello() {
@@ -2162,31 +1904,10 @@ impl<R: Read> WireReader<R> {
         self.hello.as_ref().and_then(|h| h.assignment.as_ref())
     }
 
-    /// The v3 stopped-at trailer, once the stream has ended (always `None`
-    /// on v1/v2 streams, which carry no trailer).
+    /// The stopped-at trailer, once the stream has ended (`None` before the
+    /// end, or when the server sent none).
     pub fn stopped_at(&self) -> Option<&StoppedAt> {
         self.stopped.as_ref()
-    }
-
-    fn decode_tuple(body: &[u8]) -> Result<SourceTuple> {
-        let corrupt = || Error::Source("corrupt wire tuple frame".into());
-        if body.len() != 26 && body.len() != 34 {
-            return Err(corrupt());
-        }
-        let id = u64::from_le_bytes(body[1..9].try_into().expect("8 bytes"));
-        let score = f64::from_bits(u64::from_le_bytes(body[9..17].try_into().expect("8 bytes")));
-        let prob = f64::from_bits(u64::from_le_bytes(
-            body[17..25].try_into().expect("8 bytes"),
-        ));
-        let tuple = UncertainTuple::new(id, score, prob)?;
-        match (body[25], body.len()) {
-            (0, 26) => Ok(SourceTuple::independent(tuple)),
-            (1, 34) => Ok(SourceTuple::grouped(
-                tuple,
-                u64::from_le_bytes(body[26..34].try_into().expect("8 bytes")),
-            )),
-            _ => Err(corrupt()),
-        }
     }
 
     fn decode_block(body: &[u8]) -> Result<TupleBlock> {
@@ -2200,197 +1921,40 @@ impl<R: Read> WireReader<R> {
         Ok(block)
     }
 
-    /// Delivers the next buffered block-frame row, maintaining the hint.
-    fn pop_buffered(&mut self) -> Option<SourceTuple> {
-        if self.cursor >= self.pending.len() {
-            return None;
-        }
-        let row = self.pending.get(self.cursor);
-        self.cursor += 1;
-        if self.cursor >= self.pending.len() {
-            self.pending.clear();
-            self.cursor = 0;
-        }
-        if let Some(hint) = &mut self.hint {
-            *hint = hint.saturating_sub(1);
-        }
-        Some(row)
-    }
-
-    fn note_stopped(&mut self, body: &[u8]) -> Result<()> {
-        if body.len() != 18 || body[17] > 1 {
-            self.done = true;
-            return Err(Error::Source("corrupt wire stopped-at frame".into()));
-        }
-        self.stopped = Some(StoppedAt {
-            scanned: u64::from_le_bytes(body[1..9].try_into().expect("8 bytes")),
-            shipped: u64::from_le_bytes(body[9..17].try_into().expect("8 bytes")),
-            gate_limited: body[17] == 1,
-        });
-        Ok(())
-    }
-}
-
-impl<R: Read> TupleSource for WireReader<R> {
-    fn next_tuple(&mut self) -> Result<Option<SourceTuple>> {
-        if let Some(row) = self.pop_buffered() {
-            return Ok(Some(row));
-        }
-        if self.done {
-            return Ok(None);
-        }
+    /// Reads frames until a non-empty block is buffered (`true`) or the
+    /// stream ended cleanly (`false`). Every failure ends the stream.
+    fn fill(&mut self) -> Result<bool> {
         if self.hello.is_none() {
             self.hello()?;
         }
-        loop {
-            let body = match self.read_frame() {
-                Ok(body) => body,
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-            };
-            return match body[0] {
-                FRAME_TUPLE => match Self::decode_tuple(&body) {
-                    Ok(tuple) => {
-                        if let Some(hint) = &mut self.hint {
-                            *hint = hint.saturating_sub(1);
-                        }
-                        Ok(Some(tuple))
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        Err(e)
-                    }
-                },
-                FRAME_TUPLE_BLOCK => match Self::decode_block(&body) {
-                    Ok(block) => {
-                        self.block_frames += 1;
-                        self.block_frame_rows += block.len() as u64;
-                        self.pending = block;
-                        self.cursor = 0;
-                        match self.pop_buffered() {
-                            Some(row) => Ok(Some(row)),
-                            None => continue, // empty block frame
-                        }
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        Err(e)
-                    }
-                },
-                FRAME_END => {
-                    self.done = true;
-                    Ok(None)
-                }
-                FRAME_STOPPED => {
-                    self.note_stopped(&body)?;
-                    continue; // the end frame follows the trailer
-                }
-                FRAME_ERROR => {
-                    self.done = true;
-                    Err(Error::Source(format!(
-                        "remote source failed: {}",
-                        String::from_utf8_lossy(&body[1..])
-                    )))
-                }
-                other => {
-                    self.done = true;
-                    Err(Error::Source(format!("unknown wire frame kind {other}")))
-                }
-            };
-        }
-    }
-
-    fn next_block(&mut self, max: usize) -> Result<Option<TupleBlock>> {
-        let max = max.max(1);
-        let buffered = self.pending.len() - self.cursor;
-        if buffered > 0 {
-            // Whole-block handover when the buffer fits the ask; otherwise
-            // copy a slice of the columns and keep the remainder buffered.
-            let block = if self.cursor == 0 && buffered <= max {
-                std::mem::take(&mut self.pending)
-            } else {
-                let take = buffered.min(max);
-                let mut out = TupleBlock::with_capacity(take);
-                out.push_range(&self.pending, self.cursor, self.cursor + take);
-                self.cursor += take;
-                if self.cursor >= self.pending.len() {
-                    self.pending.clear();
-                    self.cursor = 0;
-                }
-                out
-            };
-            if let Some(hint) = &mut self.hint {
-                *hint = hint.saturating_sub(block.len());
-            }
-            return Ok(Some(block));
-        }
-        if self.done {
-            return Ok(None);
-        }
-        if self.hello.is_none() {
-            self.hello()?;
-        }
-        loop {
-            let body = match self.read_frame() {
-                Ok(body) => body,
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-            };
+        while !self.done {
+            let body = self.read_frame()?;
             match body[0] {
-                FRAME_TUPLE_BLOCK => match Self::decode_block(&body) {
-                    Ok(block) if block.is_empty() => {
-                        self.block_frames += 1;
-                        continue;
-                    }
-                    Ok(block) => {
-                        self.block_frames += 1;
-                        self.block_frame_rows += block.len() as u64;
+                FRAME_TUPLE_BLOCK => {
+                    let block = Self::decode_block(&body).inspect_err(|_| self.done = true)?;
+                    self.block_frames += 1;
+                    self.block_frame_rows += block.len() as u64;
+                    if !block.is_empty() {
                         self.pending = block;
                         self.cursor = 0;
-                        // Deliver through the buffer path above, which
-                        // honors `max` and maintains the hint.
-                        return self.next_block(max);
+                        return Ok(true);
                     }
-                    Err(e) => {
-                        self.done = true;
-                        return Err(e);
-                    }
-                },
-                // A per-tuple peer: hand each tuple up as a unit block
-                // rather than blocking here to batch frames the server may
-                // not have sent yet.
-                FRAME_TUPLE => match Self::decode_tuple(&body) {
-                    Ok(tuple) => {
-                        if let Some(hint) = &mut self.hint {
-                            *hint = hint.saturating_sub(1);
-                        }
-                        let mut block = TupleBlock::with_capacity(1);
-                        block.push(&tuple);
-                        return Ok(Some(block));
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        return Err(e);
-                    }
-                },
-                FRAME_END => {
-                    self.done = true;
-                    return Ok(None);
                 }
+                FRAME_END => self.done = true,
                 FRAME_STOPPED => {
-                    self.note_stopped(&body)?;
-                    continue;
+                    if body.len() != 18 || body[17] > 1 {
+                        self.done = true;
+                        return Err(Error::Source("corrupt wire stopped-at frame".into()));
+                    }
+                    self.stopped = Some(StoppedAt {
+                        scanned: u64::from_le_bytes(body[1..9].try_into().expect("8 bytes")),
+                        shipped: u64::from_le_bytes(body[9..17].try_into().expect("8 bytes")),
+                        gate_limited: body[17] == 1,
+                    });
                 }
                 FRAME_ERROR => {
                     self.done = true;
-                    return Err(Error::Source(format!(
-                        "remote source failed: {}",
-                        String::from_utf8_lossy(&body[1..])
-                    )));
+                    return Err(remote_source_failed(&body));
                 }
                 other => {
                     self.done = true;
@@ -2398,6 +1962,67 @@ impl<R: Read> TupleSource for WireReader<R> {
                 }
             }
         }
+        Ok(false)
+    }
+
+    /// Rows buffered from the last block frame and not yet delivered.
+    fn buffered(&self) -> usize {
+        self.pending.len() - self.cursor
+    }
+
+    /// Counts `delivered` rows off the size hint.
+    fn consume_hint(&mut self, delivered: usize) {
+        if let Some(hint) = &mut self.hint {
+            *hint = hint.saturating_sub(delivered);
+        }
+    }
+}
+
+/// The client-side error for a server's error frame.
+fn remote_source_failed(body: &[u8]) -> Error {
+    Error::Source(format!(
+        "remote source failed: {}",
+        String::from_utf8_lossy(&body[1..])
+    ))
+}
+
+impl<R: Read> TupleSource for WireReader<R> {
+    fn next_tuple(&mut self) -> Result<Option<SourceTuple>> {
+        if self.buffered() == 0 && (self.done || !self.fill()?) {
+            return Ok(None);
+        }
+        let row = self.pending.get(self.cursor);
+        self.cursor += 1;
+        if self.cursor >= self.pending.len() {
+            self.pending.clear();
+            self.cursor = 0;
+        }
+        self.consume_hint(1);
+        Ok(Some(row))
+    }
+
+    fn next_block(&mut self, max: usize) -> Result<Option<TupleBlock>> {
+        if self.buffered() == 0 && (self.done || !self.fill()?) {
+            return Ok(None);
+        }
+        let max = max.max(1);
+        // Whole-block handover when the buffer fits the ask; otherwise copy
+        // a slice of the columns and keep the remainder buffered.
+        let block = if self.cursor == 0 && self.buffered() <= max {
+            std::mem::take(&mut self.pending)
+        } else {
+            let take = self.buffered().min(max);
+            let mut out = TupleBlock::with_capacity(take);
+            out.push_range(&self.pending, self.cursor, self.cursor + take);
+            self.cursor += take;
+            if self.cursor >= self.pending.len() {
+                self.pending.clear();
+                self.cursor = 0;
+            }
+            out
+        };
+        self.consume_hint(block.len());
+        Ok(Some(block))
     }
 
     fn size_hint(&self) -> Option<usize> {
@@ -2418,8 +2043,6 @@ pub struct WireScanStats {
     tuples: std::sync::atomic::AtomicU64,
     blocks: std::sync::atomic::AtomicU64,
     block_tuples: std::sync::atomic::AtomicU64,
-    pushdown_conns: std::sync::atomic::AtomicU64,
-    plain_conns: std::sync::atomic::AtomicU64,
     server_scanned: std::sync::atomic::AtomicU64,
     server_shipped: std::sync::atomic::AtomicU64,
     trailers: std::sync::atomic::AtomicU64,
@@ -2434,7 +2057,7 @@ impl WireScanStats {
     }
 
     /// Records `tuples` tuples delivered through one block pull — they count
-    /// toward [`tuples_received`] exactly like per-tuple deliveries. Wire
+    /// toward [`tuples_received`] exactly like tuple-at-a-time deliveries. Wire
     /// framing is tracked separately via [`record_block_frames`]: a block
     /// pull may be served from a buffered frame, and a buffered frame may be
     /// drained tuple-at-a-time.
@@ -2445,21 +2068,12 @@ impl WireScanStats {
         self.tuples.fetch_add(tuples as u64, Self::ORDER);
     }
 
-    /// Folds in kind-20 block frames decoded off the wire (`frames` frames
+    /// Folds in block frames decoded off the wire (`frames` frames
     /// carrying `rows` rows total), typically harvested from
     /// [`WireReader::block_frames_decoded`].
     pub fn record_block_frames(&self, frames: u64, rows: u64) {
         self.blocks.fetch_add(frames, Self::ORDER);
         self.block_tuples.fetch_add(rows, Self::ORDER);
-    }
-
-    /// Records one opened connection, pushdown-negotiated or plain.
-    pub fn record_connection(&self, pushdown: bool) {
-        if pushdown {
-            self.pushdown_conns.fetch_add(1, Self::ORDER);
-        } else {
-            self.plain_conns.fetch_add(1, Self::ORDER);
-        }
     }
 
     /// Folds in a server's stopped-at trailer.
@@ -2474,7 +2088,7 @@ impl WireScanStats {
         self.tuples.load(Self::ORDER)
     }
 
-    /// Kind-20 columnar block frames decoded off the wire so far.
+    /// Columnar block frames decoded off the wire so far.
     pub fn blocks_received(&self) -> u64 {
         self.blocks.load(Self::ORDER)
     }
@@ -2485,16 +2099,6 @@ impl WireScanStats {
     /// [`blocks_received`]: WireScanStats::blocks_received
     pub fn block_tuples_received(&self) -> u64 {
         self.block_tuples.load(Self::ORDER)
-    }
-
-    /// Connections that negotiated v3 pushdown.
-    pub fn pushdown_connections(&self) -> u64 {
-        self.pushdown_conns.load(Self::ORDER)
-    }
-
-    /// Connections served over the plain v1/v2 protocol.
-    pub fn plain_connections(&self) -> u64 {
-        self.plain_conns.load(Self::ORDER)
     }
 
     /// Total rows the servers reported scanning (summed trailers).
@@ -2516,7 +2120,6 @@ impl WireScanStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::VecSource;
 
     fn tuples(n: u64) -> Vec<SourceTuple> {
         (0..n)
@@ -2531,6 +2134,23 @@ mod tests {
             .collect()
     }
 
+    fn block_of(rows: &[SourceTuple]) -> TupleBlock {
+        let mut block = TupleBlock::with_capacity(rows.len());
+        for t in rows {
+            block.push(t);
+        }
+        block
+    }
+
+    /// A complete scan stream: hello, `rows` in one block, end frame.
+    fn scan_stream(rows: &[SourceTuple], hint: Option<usize>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut writer = WireWriter::new(&mut buf, hint, None).unwrap();
+        writer.write_block(&block_of(rows)).unwrap();
+        writer.finish().unwrap();
+        buf
+    }
+
     fn drain(source: &mut dyn TupleSource) -> Result<Vec<SourceTuple>> {
         let mut out = Vec::new();
         while let Some(t) = source.next_tuple()? {
@@ -2539,13 +2159,19 @@ mod tests {
         Ok(out)
     }
 
+    /// Asserts `err` is the version refusal naming both versions.
+    fn assert_names_both_versions(err: &Error, theirs: u8) {
+        assert!(
+            matches!(err, Error::Source(m) if m.contains(&format!("version {theirs}"))
+                && m.contains(&format!("version {WIRE_VERSION}"))),
+            "{err}"
+        );
+    }
+
     #[test]
     fn round_trip_is_bit_identical() {
         let all = tuples(50);
-        let mut buf = Vec::new();
-        let writer = WireWriter::new(&mut buf, Some(all.len())).unwrap();
-        let served = writer.serve(&mut VecSource::new(all.clone())).unwrap();
-        assert_eq!(served, 50);
+        let buf = scan_stream(&all, Some(all.len()));
         let mut reader = WireReader::new(buf.as_slice());
         assert_eq!(reader.size_hint(), None, "hint unknown before hello");
         let decoded = drain(&mut reader).unwrap();
@@ -2557,19 +2183,16 @@ mod tests {
     #[test]
     fn block_frames_round_trip_bit_identical() {
         let all = tuples(1000);
-        let mut block = TupleBlock::with_capacity(all.len());
-        for t in &all {
-            block.push(t);
-        }
         let mut buf = Vec::new();
-        let mut writer = WireWriter::new(&mut buf, Some(all.len())).unwrap();
-        writer.write_block(&block).unwrap();
+        let mut writer = WireWriter::new(&mut buf, Some(all.len()), None).unwrap();
+        writer.write_block(&block_of(&all)).unwrap();
         assert!(writer.bytes_written() > 0);
         writer.finish().unwrap();
 
         // Tuple-at-a-time consumption of the blocked stream.
         let mut reader = WireReader::new(buf.as_slice());
         assert_eq!(drain(&mut reader).unwrap(), all);
+        assert_eq!(reader.block_frames_decoded(), (1, 1000));
 
         // Blocked consumption: same tuples, same order, hint maintained.
         let mut reader = WireReader::new(buf.as_slice());
@@ -2592,7 +2215,7 @@ mod tests {
             block.push(&SourceTuple::grouped(t, i));
         }
         let mut buf = Vec::new();
-        let mut writer = WireWriter::new(&mut buf, None).unwrap();
+        let mut writer = WireWriter::new(&mut buf, None, None).unwrap();
         writer.write_block(&block).unwrap();
         writer.finish().unwrap();
         let mut reader = WireReader::new(buf.as_slice());
@@ -2604,7 +2227,7 @@ mod tests {
     #[test]
     fn empty_block_frames_nothing() {
         let mut buf = Vec::new();
-        let mut writer = WireWriter::new(&mut buf, None).unwrap();
+        let mut writer = WireWriter::new(&mut buf, None, None).unwrap();
         let before = writer.bytes_written();
         writer.write_block(&TupleBlock::default()).unwrap();
         assert_eq!(writer.bytes_written(), before);
@@ -2614,65 +2237,43 @@ mod tests {
             .is_empty());
     }
 
-    #[test]
-    fn mixed_tuple_and_block_frames_interleave() {
-        let all = tuples(10);
-        let mut block = TupleBlock::default();
-        for t in &all[2..7] {
-            block.push(t);
-        }
-        let mut buf = Vec::new();
-        let mut writer = WireWriter::new(&mut buf, None).unwrap();
-        writer.write_tuple(&all[0]).unwrap();
-        writer.write_tuple(&all[1]).unwrap();
-        writer.write_block(&block).unwrap();
-        for t in &all[7..] {
-            writer.write_tuple(t).unwrap();
-        }
-        writer.finish().unwrap();
-        assert_eq!(drain(&mut WireReader::new(buf.as_slice())).unwrap(), all);
-    }
-
+    /// The scan-open frame is the one opening of a shard connection: a
+    /// mismatched version is refused naming both versions, and another
+    /// daemon's opening frame is a "wrong daemon" refusal, not a corrupt
+    /// decode.
     #[test]
     fn blocked_query_negotiation_round_trips() {
         let query = PushdownQuery { k: 7, p_tau: 0.125 };
         let mut buf = Vec::new();
-        write_query_blocks(&mut buf, &query, 512).unwrap();
-        let (decoded, max_block) = read_query_negotiated(&mut buf.as_slice()).unwrap();
-        assert_eq!(decoded, query);
-        assert_eq!(max_block, Some(512));
+        write_scan_open(&mut buf, &query).unwrap();
+        assert_eq!(buf[5], WIRE_VERSION, "version is the first payload byte");
+        assert_eq!(read_scan_open(&mut buf.as_slice()).unwrap(), query);
 
-        // A plain kind-7 query decodes with no block capability.
-        let mut buf = Vec::new();
-        write_query(&mut buf, &query).unwrap();
-        let (decoded, max_block) = read_query_negotiated(&mut buf.as_slice()).unwrap();
-        assert_eq!(decoded, query);
-        assert_eq!(max_block, None);
+        let mut stale = buf.clone();
+        stale[5] = WIRE_VERSION - 1;
+        let err = read_scan_open(&mut stale.as_slice()).unwrap_err();
+        assert_names_both_versions(&err, WIRE_VERSION - 1);
 
-        // The strict pre-block reader rejects the kind-19 frame — that
-        // rejection is what triggers the client's plain-query redial.
-        let mut buf = Vec::new();
-        write_query_blocks(&mut buf, &query, 512).unwrap();
-        assert!(read_query(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn negotiated_zero_block_clamps_to_one() {
-        let query = PushdownQuery { k: 1, p_tau: 0.5 };
-        let mut buf = Vec::new();
-        write_query_blocks(&mut buf, &query, 0).unwrap();
-        let (_, max_block) = read_query_negotiated(&mut buf.as_slice()).unwrap();
-        assert_eq!(max_block, Some(1));
+        let mut request = Vec::new();
+        write_query_request(&mut request, &sample_request()).unwrap();
+        let err = read_scan_open(&mut request.as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, Error::Source(m) if m.starts_with("wrong daemon")),
+            "{err}"
+        );
+        // The retired per-tuple frame kind is just an unknown opening.
+        let mut retired = Vec::new();
+        write_frame_to(&mut retired, &[1u8; 26]).unwrap();
+        let err = read_scan_open(&mut retired.as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, Error::Source(m) if m.contains("unexpected wire frame kind 1")),
+            "{err}"
+        );
     }
 
     #[test]
     fn size_hint_counts_down_after_hello() {
-        let all = tuples(4);
-        let mut buf = Vec::new();
-        WireWriter::new(&mut buf, Some(4))
-            .unwrap()
-            .serve(&mut VecSource::new(all))
-            .unwrap();
+        let buf = scan_stream(&tuples(4), Some(4));
         let mut reader = WireReader::new(buf.as_slice());
         reader.next_tuple().unwrap().unwrap();
         assert_eq!(reader.size_hint(), Some(3));
@@ -2680,36 +2281,34 @@ mod tests {
 
     #[test]
     fn server_side_error_is_forwarded_as_source_error() {
-        struct Fails;
-        impl TupleSource for Fails {
-            fn next_tuple(&mut self) -> Result<Option<SourceTuple>> {
-                Err(Error::Source("backing store gone".into()))
-            }
-        }
         let mut buf = Vec::new();
-        let err = WireWriter::new(&mut buf, None)
-            .unwrap()
-            .serve(&mut Fails)
-            .unwrap_err();
-        assert!(matches!(err, Error::Source(_)));
+        let mut writer = WireWriter::new(&mut buf, None, None).unwrap();
+        writer.write_block(&block_of(&tuples(3))).unwrap();
+        writer.fail("backing store gone").unwrap();
         let err = drain(&mut WireReader::new(buf.as_slice())).unwrap_err();
         assert!(
             matches!(&err, Error::Source(m) if m.contains("backing store gone")),
+            "{err}"
+        );
+
+        // An error frame in place of the hello (a refused scan-open) is the
+        // same remote failure, surfaced from the hello itself.
+        let mut refusal = Vec::new();
+        write_query_error(&mut refusal, "wrong daemon: ...").unwrap();
+        let err = WireReader::new(refusal.as_slice()).hello().unwrap_err();
+        assert!(
+            matches!(&err, Error::Source(m) if m.starts_with("remote source failed: wrong daemon")),
             "{err}"
         );
     }
 
     #[test]
     fn truncation_and_corruption_surface_as_errors() {
-        let mut buf = Vec::new();
-        WireWriter::new(&mut buf, None)
-            .unwrap()
-            .serve(&mut VecSource::new(tuples(5)))
-            .unwrap();
+        let buf = scan_stream(&tuples(5), None);
 
         // Cut the stream before the end frame: every prefix fails, none hang
         // and none pretend the stream ended cleanly.
-        for cut in [3usize, 11, buf.len() - 2] {
+        for cut in [3usize, 11, 20, buf.len() - 2] {
             let err = drain(&mut WireReader::new(&buf[..cut])).unwrap_err();
             assert!(matches!(err, Error::Source(_)), "cut at {cut}");
         }
@@ -2723,11 +2322,16 @@ mod tests {
         ));
 
         // A stream that does not open with hello is rejected.
-        let headless = &buf[14..]; // skip the 4+10 byte hello frame
+        let headless = &buf[15..]; // skip the 4+11 byte hello frame
         assert!(matches!(
             drain(&mut WireReader::new(headless)),
             Err(Error::Source(_))
         ));
+
+        // A block frame whose row count overstates its rows is corrupt.
+        let mut overstated = buf.clone();
+        overstated[15 + 5] = overstated[15 + 5].wrapping_add(1);
+        assert!(drain(&mut WireReader::new(overstated.as_slice())).is_err());
     }
 
     #[test]
@@ -2738,13 +2342,11 @@ mod tests {
             namespace: "coord-7".into(),
         };
         let mut buf = Vec::new();
-        WireWriter::with_assignment(&mut buf, Some(all.len()), &assignment)
-            .unwrap()
-            .serve(&mut VecSource::new(all.clone()))
-            .unwrap();
+        let mut writer = WireWriter::new(&mut buf, Some(all.len()), Some(&assignment)).unwrap();
+        writer.write_block(&block_of(&all)).unwrap();
+        writer.finish().unwrap();
         let mut reader = WireReader::new(buf.as_slice());
         let hello = reader.hello().unwrap();
-        assert_eq!(hello.version, WIRE_VERSION);
         assert_eq!(hello.size_hint, Some(10));
         assert_eq!(hello.assignment.as_ref(), Some(&assignment));
         assert_eq!(reader.size_hint(), Some(10), "hint known right after hello");
@@ -2753,55 +2355,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_hello_still_decodes_and_carries_no_assignment() {
-        // A v1 server (today's `WireWriter::new`) against the v2 reader.
-        let all = tuples(6);
-        let mut buf = Vec::new();
-        WireWriter::new(&mut buf, Some(6))
-            .unwrap()
-            .serve(&mut VecSource::new(all.clone()))
-            .unwrap();
-        let mut reader = WireReader::new(buf.as_slice());
-        let hello = reader.hello().unwrap();
-        assert_eq!(hello.version, 1);
-        assert_eq!(hello.assignment, None);
-        assert_eq!(drain(&mut reader).unwrap(), all);
-        // And the v1 decode rules (10-byte hello, version byte 1) accept what
-        // `WireWriter::new` emits — a v1-era client decodes a v2 server that
-        // answered its silence with the v1 hello.
-        assert_eq!(buf[4], FRAME_HELLO);
-        assert_eq!(u32::from_le_bytes(buf[0..4].try_into().unwrap()), 10);
-        assert_eq!(buf[5], WIRE_VERSION_V1);
-    }
-
-    #[test]
     fn future_versions_and_corrupt_v2_hellos_are_rejected() {
         let mut buf = Vec::new();
-        WireWriter::with_assignment(
+        WireWriter::new(
             &mut buf,
             None,
-            &ShardAssignment {
+            Some(&ShardAssignment {
                 id_base: 0,
                 namespace: "ns".into(),
-            },
+            }),
         )
         .unwrap()
         .finish()
         .unwrap();
-        // Bump the version byte past what this build speaks. (Version 3 is
-        // spoken since the pushdown release — but with its own hello layout,
-        // so the first genuinely-unknown version is 4.)
+        // A hello of another version is refused, naming both versions.
         let mut future = buf.clone();
-        future[5] = WIRE_VERSION_V3 + 1;
+        future[5] = WIRE_VERSION + 1;
         let err = drain(&mut WireReader::new(future.as_slice())).unwrap_err();
-        assert!(
-            matches!(&err, Error::Source(m) if m.contains("version")),
-            "{err}"
-        );
-        // Truncate the namespace out of the v2 hello: corrupt, not a panic.
+        assert_names_both_versions(&err, WIRE_VERSION + 1);
+        // Truncate the namespace out of the hello: corrupt, not a panic.
         let mut short = buf.clone();
-        short[0..4].copy_from_slice(&18u32.to_le_bytes());
-        short.truncate(4 + 18);
+        short[0..4].copy_from_slice(&19u32.to_le_bytes());
+        short.truncate(4 + 19);
         assert!(drain(&mut WireReader::new(short.as_slice())).is_err());
     }
 
@@ -2838,17 +2413,18 @@ mod tests {
         .is_err());
         // Malformed register/lease frames are errors, not panics.
         assert!(read_register(&mut [0u8; 3].as_slice()).is_err());
-        let mut v1_register = Vec::new();
+        let mut stale_register = Vec::new();
         write_frame_to(
-            &mut v1_register,
-            &[&[FRAME_REGISTER, 1][..], &[0u8; 10][..]].concat(),
+            &mut stale_register,
+            &[&[FRAME_REGISTER, 2][..], &[0u8; 10][..]].concat(),
         )
         .unwrap();
-        let err = read_register(&mut v1_register.as_slice()).unwrap_err();
-        assert!(
-            matches!(&err, Error::Source(m) if m.contains("needs v2")),
-            "{err}"
-        );
+        let err = read_register(&mut stale_register.as_slice()).unwrap_err();
+        assert_names_both_versions(&err, 2);
+        let mut stale_lease = reply.clone();
+        stale_lease[5] = 2;
+        let err = read_lease(&mut stale_lease.as_slice()).unwrap_err();
+        assert_names_both_versions(&err, 2);
         assert!(read_lease(&mut buf.as_slice()).is_err(), "kind mismatch");
     }
 
@@ -2864,10 +2440,8 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             let mut writer =
-                WireWriter::v3(&mut buf, Some(all.len()), assignment.as_ref()).unwrap();
-            for t in &all {
-                writer.write_tuple(t).unwrap();
-            }
+                WireWriter::new(&mut buf, Some(all.len()), assignment.as_ref()).unwrap();
+            writer.write_block(&block_of(&all)).unwrap();
             writer
                 .write_stopped(&StoppedAt {
                     scanned: 12,
@@ -2878,7 +2452,6 @@ mod tests {
             writer.finish().unwrap();
             let mut reader = WireReader::new(buf.as_slice());
             let hello = reader.hello().unwrap();
-            assert_eq!(hello.version, WIRE_VERSION_V3);
             assert_eq!(hello.size_hint, Some(8));
             assert_eq!(hello.assignment, assignment);
             assert_eq!(reader.stopped_at(), None, "no trailer before the end");
@@ -2898,19 +2471,21 @@ mod tests {
     fn query_and_bound_frames_round_trip() {
         let query = PushdownQuery { k: 5, p_tau: 1e-3 };
         let mut buf = Vec::new();
-        write_query(&mut buf, &query).unwrap();
-        assert_eq!(read_query(&mut buf.as_slice()).unwrap(), query);
+        write_scan_open(&mut buf, &query).unwrap();
+        assert_eq!(read_scan_open(&mut buf.as_slice()).unwrap(), query);
 
-        // k == 0 announces a full replay and skips the pτ range check.
+        // k == 0 asks for the full stream and skips the pτ range check.
         let full = PushdownQuery { k: 0, p_tau: 0.0 };
         let mut buf = Vec::new();
-        write_query(&mut buf, &full).unwrap();
-        assert_eq!(read_query(&mut buf.as_slice()).unwrap(), full);
+        write_scan_open(&mut buf, &full).unwrap();
+        assert_eq!(read_scan_open(&mut buf.as_slice()).unwrap(), full);
 
-        // A gated query with pτ outside (0, 1) is rejected server-side.
+        // A gated query with pτ outside (0, 1) is rejected server-side, and
+        // truncation is corrupt.
         let mut bad = Vec::new();
-        write_query(&mut bad, &PushdownQuery { k: 3, p_tau: 1.5 }).unwrap();
-        assert!(read_query(&mut bad.as_slice()).is_err());
+        write_scan_open(&mut bad, &PushdownQuery { k: 3, p_tau: 1.5 }).unwrap();
+        assert!(read_scan_open(&mut bad.as_slice()).is_err());
+        assert!(read_scan_open(&mut buf[..buf.len() - 1].as_ref()).is_err());
 
         // Bound updates decode through the incremental control parser, even
         // when they arrive split across reads or back to back.
@@ -2931,25 +2506,25 @@ mod tests {
         // Garbage in the control stream is an error, not a hang.
         let mut parser = ControlParser::new();
         parser.extend(&9u32.to_le_bytes());
-        parser.extend(&[FRAME_TUPLE; 9]);
+        parser.extend(&[FRAME_TUPLE_BLOCK; 9]);
         assert!(parser.next_frame().is_err());
     }
 
     #[test]
     fn scan_stats_accumulate_across_connections() {
         let stats = WireScanStats::default();
-        stats.record_connection(true);
-        stats.record_connection(false);
         stats.record_tuple();
         stats.record_tuple();
+        stats.record_block_pull(3);
+        stats.record_block_frames(2, 7);
         stats.record_stopped(&StoppedAt {
             scanned: 10,
             shipped: 2,
             gate_limited: true,
         });
-        assert_eq!(stats.tuples_received(), 2);
-        assert_eq!(stats.pushdown_connections(), 1);
-        assert_eq!(stats.plain_connections(), 1);
+        assert_eq!(stats.tuples_received(), 5);
+        assert_eq!(stats.blocks_received(), 2);
+        assert_eq!(stats.block_tuples_received(), 7);
         assert_eq!(stats.server_scanned(), 10);
         assert_eq!(stats.server_shipped(), 2);
         assert_eq!(stats.trailers(), 1);
@@ -2957,7 +2532,6 @@ mod tests {
 
     fn sample_request() -> QueryRequest {
         QueryRequest {
-            version: WIRE_VERSION_V5,
             dataset: "area-60".into(),
             k: 5,
             p_tau: 1e-3,
@@ -2975,7 +2549,6 @@ mod tests {
             probability: 0.25 + (seed % 7) as f64 / 100.0,
         };
         QueryResult {
-            version: WIRE_VERSION_V5,
             cache_hit: true,
             scan_depth: 69,
             distribution_time_ns: 1_234_567,
@@ -3018,6 +2591,7 @@ mod tests {
         let request = sample_request();
         let mut buf = Vec::new();
         write_query_request(&mut buf, &request).unwrap();
+        assert_eq!(buf[5], WIRE_VERSION, "version is the first payload byte");
         assert_eq!(read_query_request(&mut buf.as_slice()).unwrap(), request);
 
         // k == 0 and pτ outside (0, 1) are refused server-side.
@@ -3039,14 +2613,14 @@ mod tests {
             );
         }
 
-        // A version bump is named in the refusal, and truncation is an error.
+        // Another version is named in the refusal — through both server
+        // decoders — and truncation is an error.
         let mut future = buf.clone();
-        future[5] = WIRE_VERSION_V6 + 1;
+        future[5] = WIRE_VERSION + 1;
         let err = read_query_request(&mut future.as_slice()).unwrap_err();
-        assert!(
-            matches!(&err, Error::Source(m) if m.contains("needs v4")),
-            "{err}"
-        );
+        assert_names_both_versions(&err, WIRE_VERSION + 1);
+        let err = read_client_request(&mut future.as_slice()).unwrap_err();
+        assert_names_both_versions(&err, WIRE_VERSION + 1);
         assert!(read_query_request(&mut buf[..buf.len() - 3].as_ref()).is_err());
         // An over-long dataset name fails at write time, like every label.
         assert!(write_query_request(
@@ -3059,18 +2633,31 @@ mod tests {
         .is_err());
     }
 
+    /// Static and live results alike carry the epoch, cache generation and
+    /// live tail, and decode bit-identically.
     #[test]
     fn query_result_round_trip_is_bit_identical() {
-        for (points, u_topk, cache_hit) in [(40, true, true), (0, false, false)] {
+        for (points, u_topk, cache_hit, live) in [
+            (40, true, true, false),
+            (0, false, false, false),
+            (3, true, false, true),
+        ] {
             let mut result = sample_result(points);
             if !u_topk {
                 result.u_topk = None;
             }
             result.cache_hit = cache_hit;
+            if live {
+                result.live = true;
+                result.live_segments = 12;
+                result.compacted_epoch = 31;
+            }
             let mut buf = Vec::new();
             write_query_result(&mut buf, &result).unwrap();
-            let decoded = read_query_result(&mut buf.as_slice()).unwrap();
+            let mut rest = buf.as_slice();
+            let decoded = read_query_result(&mut rest).unwrap();
             assert_eq!(decoded, result);
+            assert!(rest.is_empty(), "no bytes follow the end frame");
         }
     }
 
@@ -3097,6 +2684,19 @@ mod tests {
             assert!(read_query_result(&mut buf[..cut].as_ref()).is_err());
         }
 
+        // A result header of another version is refused client-side.
+        let mut stale = buf.clone();
+        stale[5] = WIRE_VERSION - 1;
+        let err = read_query_result(&mut stale.as_slice()).unwrap_err();
+        assert_names_both_versions(&err, WIRE_VERSION - 1);
+
+        // A live flag other than 0/1 is corrupt: the flag sits 17 bytes
+        // before the end of the header frame.
+        let header_len = 4 + u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
+        let mut bad_live = buf.clone();
+        bad_live[header_len - 17] = 2;
+        assert!(read_query_result(&mut bad_live.as_slice()).is_err());
+
         // An error frame in place of the header decodes as Error::Source.
         let mut refusal = Vec::new();
         write_query_error(&mut refusal, "no such dataset `missing`").unwrap();
@@ -3108,7 +2708,6 @@ mod tests {
 
         // A shipped-vs-announced point count mismatch is rejected: drop the
         // final chunk + end frame and splice in a bare end frame.
-        let header_len = 4 + u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
         let mut short = buf[..header_len].to_vec();
         short.extend_from_slice(&1u32.to_le_bytes());
         short.push(FRAME_END);
@@ -3116,85 +2715,6 @@ mod tests {
         assert!(
             matches!(&err, Error::Source(m) if m.contains("announced")),
             "{err}"
-        );
-    }
-
-    #[test]
-    fn v4_request_and_result_layouts_are_preserved_for_old_peers() {
-        // A v4 request round-trips with the v4 version byte on the wire.
-        let request = QueryRequest {
-            version: WIRE_VERSION_V4,
-            ..sample_request()
-        };
-        let mut buf = Vec::new();
-        write_query_request(&mut buf, &request).unwrap();
-        assert_eq!(buf[5], WIRE_VERSION_V4, "version byte on the wire");
-        assert_eq!(read_query_request(&mut buf.as_slice()).unwrap(), request);
-
-        // A result answered at v4 is byte-identical to the v4 release: the
-        // header is exactly 16 bytes shorter (no epoch / cache generation)
-        // and decodes with both fields zero.
-        let v5 = sample_result(3);
-        let v4 = QueryResult {
-            version: WIRE_VERSION_V4,
-            epoch: 0,
-            cache_generation: 0,
-            ..v5.clone()
-        };
-        let (mut buf4, mut buf5) = (Vec::new(), Vec::new());
-        write_query_result(&mut buf4, &v4).unwrap();
-        write_query_result(&mut buf5, &v5).unwrap();
-        let header = |buf: &[u8]| u32::from_le_bytes(buf[0..4].try_into().unwrap());
-        assert_eq!(header(&buf5), header(&buf4) + 16);
-        let decoded = read_query_result(&mut buf4.as_slice()).unwrap();
-        assert_eq!(decoded, v4);
-        assert_eq!((decoded.epoch, decoded.cache_generation), (0, 0));
-        // And the v5 result carries its epoch metadata through.
-        let decoded = read_query_result(&mut buf5.as_slice()).unwrap();
-        assert_eq!((decoded.epoch, decoded.cache_generation), (9, 4));
-        // Versions outside v4-v6 are refused at write time.
-        assert!(write_query_result(
-            &mut Vec::new(),
-            &QueryResult {
-                version: WIRE_VERSION_V6 + 1,
-                ..v5
-            }
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn v6_result_tail_round_trips_and_pre_v6_layouts_are_byte_identical() {
-        // A v6 result carries the live-scan tail: 17 bytes (flag + segments
-        // + last compaction epoch) after the v5 header.
-        let v5 = sample_result(3);
-        let v6 = QueryResult {
-            version: WIRE_VERSION_V6,
-            live: true,
-            live_segments: 12,
-            compacted_epoch: 31,
-            ..v5.clone()
-        };
-        let (mut buf5, mut buf6) = (Vec::new(), Vec::new());
-        write_query_result(&mut buf5, &v5).unwrap();
-        write_query_result(&mut buf6, &v6).unwrap();
-        let header = |buf: &[u8]| u32::from_le_bytes(buf[0..4].try_into().unwrap());
-        assert_eq!(header(&buf6), header(&buf5) + 17);
-        let decoded = read_query_result(&mut buf6.as_slice()).unwrap();
-        assert_eq!(decoded, v6);
-        assert_eq!(
-            (decoded.live, decoded.live_segments, decoded.compacted_epoch),
-            (true, 12, 31)
-        );
-
-        // A result answered at v5 by this build is byte-identical to the v5
-        // release — not a single v6 byte unless the client asked for one —
-        // and decodes with the live tail zeroed.
-        let decoded = read_query_result(&mut buf5.as_slice()).unwrap();
-        assert_eq!(decoded, v5);
-        assert_eq!(
-            (decoded.live, decoded.live_segments, decoded.compacted_epoch),
-            (false, 0, 0)
         );
     }
 
@@ -3267,6 +2787,10 @@ mod tests {
             read_admin_response(&mut buf.as_slice()).unwrap(),
             "registered `sensors` (1,024 rows)"
         );
+        let mut stale = buf.clone();
+        stale[5] = 6;
+        let err = read_admin_response(&mut stale.as_slice()).unwrap_err();
+        assert_names_both_versions(&err, 6);
 
         // A server error frame decodes with the semantic (never-retried)
         // prefix, a busy frame with the retryable message.
@@ -3365,6 +2889,10 @@ mod tests {
         let mut buf = Vec::new();
         write_append_ack(&mut buf, &ack).unwrap();
         assert_eq!(read_append_ack(&mut buf.as_slice()).unwrap(), ack);
+        let mut stale = buf.clone();
+        stale[5] = 5;
+        let err = read_append_ack(&mut stale.as_slice()).unwrap_err();
+        assert_names_both_versions(&err, 5);
 
         // A server error frame decodes with the semantic (never-retried)
         // prefix; a busy frame decodes as the retryable busy error.
@@ -3398,23 +2926,13 @@ mod tests {
             other => panic!("expected a subscribe request, got {other:?}"),
         }
 
-        // A v4 query shape cannot subscribe — refused at write time, and a
-        // doctored frame is refused at decode time.
-        let v4 = SubscribeRequest {
-            query: QueryRequest {
-                version: WIRE_VERSION_V4,
-                ..sample_request()
-            },
-            max_pushes: 0,
-        };
-        assert!(write_subscribe(&mut Vec::new(), &v4).is_err());
+        // A subscription of another protocol version is refused, naming
+        // both versions, and truncation is corrupt.
         let mut doctored = buf.clone();
-        doctored[5] = WIRE_VERSION_V4;
+        doctored[5] = 5;
         let err = read_client_request(&mut doctored.as_slice()).unwrap_err();
-        assert!(
-            matches!(&err, Error::Source(m) if m.contains("needs protocol version 5")),
-            "{err}"
-        );
+        assert_names_both_versions(&err, 5);
+        assert!(read_client_request(&mut buf[..buf.len() - 3].as_ref()).is_err());
     }
 
     #[test]
@@ -3454,12 +2972,34 @@ mod tests {
             "{err}"
         );
 
-        // Dispatch refuses non-request frames by kind, naming the surprise.
+        // A notification or busy frame of another version is refused.
+        let mut stale = busy.clone();
+        stale[5] = 5;
+        let err = read_query_result(&mut stale.as_slice()).unwrap_err();
+        assert_names_both_versions(&err, 5);
+        let mut stale = buf.clone();
+        stale[5] = 5;
+        let err = read_push(&mut stale.as_slice()).unwrap_err();
+        assert_names_both_versions(&err, 5);
+
+        // Dispatch refuses non-request frames by kind, naming the surprise,
+        // and a shard scan-open as another daemon's exchange.
         let mut hello = Vec::new();
-        WireWriter::new(&mut hello, None).unwrap().finish().unwrap();
+        WireWriter::new(&mut hello, None, None)
+            .unwrap()
+            .finish()
+            .unwrap();
         let err = read_client_request(&mut hello.as_slice()).unwrap_err();
         assert!(
             matches!(&err, Error::Source(m) if m.contains("unexpected wire frame kind")),
+            "{err}"
+        );
+        let mut scan_open = Vec::new();
+        write_scan_open(&mut scan_open, &PushdownQuery { k: 0, p_tau: 0.0 }).unwrap();
+        let err = read_client_request(&mut scan_open.as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, Error::Source(m) if m.starts_with("wrong daemon")
+                && m.contains("ttk serve-shard")),
             "{err}"
         );
     }

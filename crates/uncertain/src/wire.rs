@@ -2719,6 +2719,45 @@ mod tests {
     }
 
     #[test]
+    fn v6_result_tail_round_trips_and_pre_v6_layouts_are_byte_identical() {
+        // Every result carries the 17-byte live-scan tail (flag + segments +
+        // last compaction epoch) at the end of its header frame.
+        let settled = sample_result(3);
+        let live = QueryResult {
+            live: true,
+            live_segments: 12,
+            compacted_epoch: 31,
+            ..settled.clone()
+        };
+        let (mut buf_settled, mut buf_live) = (Vec::new(), Vec::new());
+        write_query_result(&mut buf_settled, &settled).unwrap();
+        write_query_result(&mut buf_live, &live).unwrap();
+        let decoded = read_query_result(&mut buf_live.as_slice()).unwrap();
+        assert_eq!(decoded, live);
+        assert_eq!(
+            (decoded.live, decoded.live_segments, decoded.compacted_epoch),
+            (true, 12, 31)
+        );
+
+        // The tail is the only difference: everything the layout had before
+        // the live tail existed — the rest of the header, the chunk frames
+        // and the end frame — is byte-identical, and a settled result
+        // decodes with the tail zeroed.
+        assert_eq!(buf_live.len(), buf_settled.len());
+        let header_len = 4 + u32::from_le_bytes(buf_settled[0..4].try_into().unwrap()) as usize;
+        let tail = header_len - 17..header_len;
+        assert_eq!(buf_live[..tail.start], buf_settled[..tail.start]);
+        assert_eq!(buf_live[tail.end..], buf_settled[tail.end..]);
+        assert_ne!(buf_live[tail.clone()], buf_settled[tail]);
+        let decoded = read_query_result(&mut buf_settled.as_slice()).unwrap();
+        assert_eq!(decoded, settled);
+        assert_eq!(
+            (decoded.live, decoded.live_segments, decoded.compacted_epoch),
+            (false, 0, 0)
+        );
+    }
+
+    #[test]
     fn admin_requests_round_trip_through_client_dispatch() {
         let requests = [
             AdminRequest {

@@ -12,7 +12,7 @@
 //! scan variants of `fig09_scan_depth` (depth only, streamed single-source
 //! prefix, sharded merge prefix), a sharded **spill** scan with per-run
 //! prefetching on and off (tracking the I/O-overlap win of the transport
-//! layer), one end-to-end main-algorithm query, a loopback `ttk serve` pair —
+//! layer), end-to-end main-algorithm queries at k=5, 10 and 20, a loopback `ttk serve` pair —
 //! cold execution vs result-cache hit for the identical query — and a
 //! loopback remote-shard pair — scan-gate pushdown vs forced full replay —
 //! whose `remote_pushdown` summary records the tuples actually shipped per
@@ -222,16 +222,19 @@ fn main() {
         .with_tuples(DRAIN_ROWS as u64),
     );
 
-    // One end-to-end query is ~34 ms of deterministic DP with no I/O; the
-    // committed baseline's mean and minimum differ by about 1%, so three
-    // iterations already give a stable mean for the gate.
+    // End-to-end main-algorithm queries: deterministic DP with no I/O, so a
+    // few iterations give a stable mean for the gate. k=5 is ~34 ms on one
+    // thread; k=10 and k=20 are the paper's own k values, large enough that
+    // the segment DPs fan out over the cores.
     let dataset = Dataset::table(table.clone());
     let mut session = Session::new();
-    samples.push(measure("query/main/k5", 3, || {
-        session
-            .execute(&dataset, &TopkQuery::new(5).with_u_topk(false))
-            .unwrap()
-    }));
+    for (k, iters) in [(5, 3), (10, 3), (20, 2)] {
+        samples.push(measure(&format!("query/main/k{k}"), iters, || {
+            session
+                .execute(&dataset, &TopkQuery::new(k).with_u_topk(false))
+                .unwrap()
+        }));
+    }
 
     // The live-dataset path: staging + sealing an append log (the sort into
     // a rank-ordered segment dominates), and a query over the sealed

@@ -81,13 +81,23 @@ impl Default for EngineConfig {
 ///
 /// The working cells are held as [`ScoreColumns`] — parallel score and
 /// probability columns — so the two inner-loop operations run columnar: the
-/// exclude branch scales the probability column in place (a branch-free,
+/// exclude branch scales the probability columns in place (a branch-free,
 /// auto-vectorizable pass with no allocation) and the include branch fuses
-/// shift, scale and merge into one sorted-union sweep that only materializes
-/// witnesses for surviving lines. Both perform the floating-point arithmetic
-/// in exactly the order of the scalar [`ScoreDistribution`] operations, so
-/// the returned distribution is bit-identical to the point-at-a-time
-/// formulation.
+/// shift, scale and merge into one sorted-union sweep. Witnesses are flat
+/// columns as well: every line of cell D_{i,j} carries exactly `j` ids, held
+/// back to back in one id column per cell, so extending a witness by the
+/// row's tuple is a slice copy, and a [`VectorWitness`] is built once per
+/// line of the returned distribution. Both operations perform the
+/// floating-point arithmetic in exactly the order of the scalar
+/// [`ScoreDistribution`] operations, so the returned distribution is
+/// bit-identical to the point-at-a-time formulation.
+///
+/// Only the *live* cells are computed: D_{0,k} reads D_{1,k} and
+/// D_{1,k-1}, which read cells down to j = k-2 at row 2, and so on, so at
+/// row `i` only the cells j ≥ max(1, k − i) can reach the answer. The
+/// skipped cells are never read, which keeps the output bit-identical.
+///
+/// [`VectorWitness`]: ttk_uncertain::VectorWitness
 pub fn run(rows: &[DpRow], exits: &[bool], k: usize, config: &EngineConfig) -> ScoreDistribution {
     assert_eq!(rows.len(), exits.len(), "one exit flag per row");
     if k == 0 || rows.is_empty() {
@@ -110,8 +120,11 @@ pub fn run(rows: &[DpRow], exits: &[bool], k: usize, config: &EngineConfig) -> S
         // it in place — `current[j]` is never read again this row once the
         // cells above it are done, while `current[j - 1]` (the include
         // branch's input) has not been touched yet. Cell values do not depend
-        // on the iteration order.
-        for j in (1..=k).rev() {
+        // on the iteration order. Cells below `live` are dead (see above);
+        // row i+1 computed every cell this row reads, since its own bound is
+        // one lower.
+        let live = k.saturating_sub(i).max(1);
+        for j in (live..=k).rev() {
             // Exclude branch: row i contributes nothing.
             let mut dist = std::mem::take(&mut current[j]);
             dist.scale_in_place(exclude_p);
@@ -259,6 +272,62 @@ mod tests {
         // Witness of score 17 is <B, C>.
         let w = d.points()[0].witness.as_ref().unwrap();
         assert_eq!(w.ids, vec![TupleId(2), TupleId(3)]);
+    }
+
+    /// Every present/absent pattern of independent simple rows: the top-k
+    /// vector is the first `k` present rows, and it counts only when its last
+    /// member sits at an enabled exit.
+    fn brute_force(rows: &[(f64, f64)], exits: &[bool], k: usize) -> ScoreDistribution {
+        let mut d = ScoreDistribution::empty();
+        for world in 0u32..1 << rows.len() {
+            let mut prob = 1.0;
+            let mut present = Vec::new();
+            for (r, &(_, p)) in rows.iter().enumerate() {
+                if world & (1 << r) != 0 {
+                    prob *= p;
+                    present.push(r);
+                } else {
+                    prob *= 1.0 - p;
+                }
+            }
+            if present.len() >= k && exits[present[k - 1]] {
+                d.add_mass(present[..k].iter().map(|&r| rows[r].0).sum(), prob, None);
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn skipped_and_blocked_low_cells_never_reach_the_answer() {
+        // At row i the engine only computes cells j >= k - i. With every exit
+        // pattern, the cells it skips (e.g. D_{0,1}, non-empty whenever row 0
+        // may exit) and the blocked exits must not leak into D_{0,k}: the
+        // answer matches the possible-world enumeration, and it is empty
+        // whenever no enabled exit sits at row k-1 or below.
+        let raw = [(10.0, 0.5), (8.0, 0.3), (6.5, 0.9), (3.0, 0.6), (1.25, 0.4)];
+        let rows: Vec<DpRow> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(score, prob))| simple(i as u64, score, prob))
+            .collect();
+        for pattern in 0u32..1 << raw.len() {
+            let exits: Vec<bool> = (0..raw.len()).map(|r| pattern & (1 << r) != 0).collect();
+            for k in 1..=raw.len() {
+                let got = run(&rows, &exits, k, &cfg());
+                let want = brute_force(&raw, &exits, k);
+                assert_eq!(got.len(), want.len(), "exits {exits:?}, k={k}");
+                for ((gs, gp), (ws, wp)) in got.pairs().zip(want.pairs()) {
+                    assert!((gs - ws).abs() < 1e-9 && (gp - wp).abs() < 1e-12);
+                }
+                if !exits[k - 1..].contains(&true) {
+                    assert!(got.is_empty(), "exits {exits:?}, k={k}");
+                }
+                assert!(got
+                    .points()
+                    .iter()
+                    .all(|p| p.witness.as_ref().unwrap().ids.len() == k));
+            }
+        }
     }
 
     #[test]

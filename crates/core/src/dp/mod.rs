@@ -14,7 +14,19 @@
 //!    is compressed into a *rule tuple* (§3.3.1) and exit points are enabled
 //!    only inside the segment (§3.3.2), and
 //! 4. runs the engine once per segment and merges the resulting
-//!    distributions.
+//!    distributions. The segments are independent, so a query whose
+//!    estimated work clears a fixed floor fans them out over scoped worker
+//!    threads (the calling thread is one of them) that claim segments
+//!    through an atomic cursor. Each worker hands its partial to a shared
+//!    reorder buffer that folds the partials in strictly in segment order,
+//!    with the same merge-and-coalesce sequence as a sequential run, so the
+//!    answer is bit-identical whichever thread ran which segment. Small
+//!    queries, and queries inside batch workers (which already use the
+//!    cores), run their segments on the calling thread. The workers of a
+//!    serving daemon do fan out: they spend most of their time on sockets
+//!    and cache hits, so a cache miss above the floor is usually the only
+//!    DP running, and when several coincide the threads share the cores
+//!    without changing any answer.
 //!
 //! On a table without mutual exclusion the decomposition degenerates to a
 //! single segment spanning all tuples, i.e. exactly the basic algorithm of
@@ -26,8 +38,10 @@
 
 pub mod engine;
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use ttk_uncertain::{
     CoalescePolicy, Error, Result, ScoreDistribution, TableSource, TupleSource, UncertainTable,
@@ -128,7 +142,7 @@ pub fn topk_score_distribution_streamed(
     }
     let mut gate = ScanGate::new(k, config.p_tau)?;
     let prefix = RankScan::new().collect_prefix(source, &mut gate)?;
-    topk_from_prefix(&prefix, k, config)
+    topk_from_prefix(&prefix, k, config, SegmentFanOut::Auto)
 }
 
 /// The pre-streaming pipeline: compute the Theorem-2 depth over the full
@@ -152,18 +166,73 @@ pub fn materialized_topk_score_distribution(
     }
     let depth = scan_depth(table, k, config.p_tau)?;
     let working = table.truncate(depth);
-    run_on_prefix_table(&working, depth, k, config)
+    run_on_prefix_table(&working, depth, k, config, SegmentFanOut::Auto)
 }
 
 /// Runs the per-segment dynamic programs over an already-collected scan
 /// prefix. Shared by the streaming entry points and the batch
-/// [`crate::query::Executor`].
+/// [`crate::query::Executor`], which decides where the segments run.
 pub(crate) fn topk_from_prefix(
     prefix: &ScanPrefix,
     k: usize,
     config: &MainConfig,
+    fan_out: SegmentFanOut,
 ) -> Result<MainOutput> {
-    run_on_prefix_table(&prefix.table, prefix.depth(), k, config)
+    run_on_prefix_table(&prefix.table, prefix.depth(), k, config, fan_out)
+}
+
+/// Estimated work (Σ rows × k × line cap over the segments) under which one
+/// query's segment DPs stay on the calling thread. A unit costs roughly
+/// 25–70 ns of DP, so the floor is tens of milliseconds of work: small
+/// queries keep their one thread to themselves, which matters where other
+/// queries run beside them. For scale: a gated k=2 or k=3 query over a
+/// 101k-tuple CarTel relation estimates at 0.5–0.8 M, a k=5 query with a
+/// 10- or 20-line cap over a 3.3k-tuple one at 0.15 M, and the paper's
+/// k=10 and k=20 queries on 60-segment CarTel areas at 10 M and 44 M.
+const FAN_OUT_WORK_FLOOR: usize = 2_000_000;
+
+/// The line cap an uncoalesced run (`max_lines == 0`) is costed at.
+const UNCAPPED_LINES_ESTIMATE: usize = 200;
+
+/// Where one query's per-segment dynamic programs run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SegmentFanOut {
+    /// On every available core when the estimated work clears
+    /// [`FAN_OUT_WORK_FLOOR`], on the calling thread otherwise.
+    Auto,
+    /// Always on the calling thread: batch workers already use the cores.
+    Sequential,
+    /// On exactly this many workers whatever the work (capped at one per
+    /// segment) — the seam the parity tests force the fan-out through.
+    #[cfg(test)]
+    Forced(usize),
+}
+
+impl SegmentFanOut {
+    /// How many workers (the calling thread included) run `segments`.
+    fn workers(self, segments: &[Range<usize>], k: usize, max_lines: usize) -> usize {
+        let wanted = match self {
+            SegmentFanOut::Sequential => 1,
+            #[cfg(test)]
+            SegmentFanOut::Forced(workers) => workers,
+            SegmentFanOut::Auto => {
+                let lines = if max_lines == 0 {
+                    UNCAPPED_LINES_ESTIMATE
+                } else {
+                    max_lines
+                };
+                // A segment's rows are at most its end position: one per
+                // tuple above it (ME groups compress) plus its own tuples.
+                let rows: usize = segments.iter().map(|segment| segment.end).sum();
+                if rows.saturating_mul(k).saturating_mul(lines) < FAN_OUT_WORK_FLOOR {
+                    1
+                } else {
+                    std::thread::available_parallelism().map_or(1, |n| n.get())
+                }
+            }
+        };
+        wanted.clamp(1, segments.len().max(1))
+    }
 }
 
 fn run_on_prefix_table(
@@ -171,6 +240,7 @@ fn run_on_prefix_table(
     depth: usize,
     k: usize,
     config: &MainConfig,
+    fan_out: SegmentFanOut,
 ) -> Result<MainOutput> {
     if working.len() < k {
         // No possible world can contain k tuples from the considered prefix;
@@ -189,36 +259,108 @@ fn run_on_prefix_table(
         track_witnesses: config.track_witnesses,
     };
 
-    let segments = build_segments(working, config.me_strategy);
-    let mut distribution = ScoreDistribution::empty();
-    let mut executed = 0usize;
-    for segment in &segments {
-        // A vector's last member sits at position ≥ k-1; segments entirely
-        // above that can never host an ending.
-        if segment.end < k {
-            continue;
-        }
-        let (rows, exits) = build_rows(working, segment.clone(), k);
-        if rows.is_empty() {
-            continue;
-        }
-        executed += 1;
-        let partial = engine::run(&rows, &exits, k, &engine_config);
-        distribution.merge_from(&partial);
-        if config.max_lines > 0 {
-            distribution.coalesce(config.max_lines, config.coalesce_policy);
-        }
-    }
+    // A vector's last member sits at position ≥ k-1; segments entirely
+    // above that can never host an ending.
+    let segments: Vec<Range<usize>> = build_segments(working, config.me_strategy)
+        .into_iter()
+        .filter(|segment| segment.end >= k)
+        .collect();
+    let run_segment = |segment: &Range<usize>| {
+        let (rows, exits) = build_rows(working, segment.clone());
+        engine::run(&rows, &exits, k, &engine_config)
+    };
+    let workers = fan_out.workers(&segments, k, config.max_lines);
+    let merged = run_segments(&segments, workers, &run_segment, InOrderMerge::new(config));
 
     // Witness vectors are assembled in row order, which may interleave rule
     // members out of rank order; restore rank order for presentation.
-    distribution = restore_witness_rank_order(distribution, working);
+    let distribution = restore_witness_rank_order(merged, working);
 
     Ok(MainOutput {
         distribution,
         scan_depth: depth,
-        segments: executed,
+        segments: segments.len(),
     })
+}
+
+/// Folds per-segment partial distributions into the answer strictly in
+/// segment order, with the same `merge_from` + `coalesce` sequence whichever
+/// thread computed which segment — so the answer is bit-identical to a
+/// sequential run. A partial that finishes ahead of its predecessors waits
+/// in the reorder buffer `pending`.
+struct InOrderMerge {
+    distribution: ScoreDistribution,
+    next: usize,
+    pending: BTreeMap<usize, ScoreDistribution>,
+    max_lines: usize,
+    policy: CoalescePolicy,
+}
+
+impl InOrderMerge {
+    fn new(config: &MainConfig) -> Self {
+        InOrderMerge {
+            distribution: ScoreDistribution::empty(),
+            next: 0,
+            pending: BTreeMap::new(),
+            max_lines: config.max_lines,
+            policy: config.coalesce_policy,
+        }
+    }
+
+    /// Accepts the partial of segment `index` and folds in every partial
+    /// that is now next in order.
+    fn push(&mut self, index: usize, partial: ScoreDistribution) {
+        self.pending.insert(index, partial);
+        while let Some(partial) = self.pending.remove(&self.next) {
+            self.distribution.merge_from(&partial);
+            if self.max_lines > 0 {
+                self.distribution.coalesce(self.max_lines, self.policy);
+            }
+            self.next += 1;
+        }
+    }
+}
+
+/// Runs the segment DPs on `workers` scoped threads, the calling thread
+/// being one of them, and returns the merged answer. Every worker runs the
+/// same loop: claim the next segment through an atomic cursor, run it, and
+/// push the partial into the shared in-order `merge`. One worker spawns no
+/// thread.
+///
+/// Segments are claimed in segment order, the order they are merged in, so
+/// the reorder buffer holds about one partial per worker. Claiming the
+/// largest (last) segments first would balance the tail slightly better,
+/// but every partial would then wait for segment 0, finished last; on the
+/// paper's CarTel areas it measured no faster.
+fn run_segments(
+    segments: &[Range<usize>],
+    workers: usize,
+    run_segment: &(dyn Fn(&Range<usize>) -> ScoreDistribution + Sync),
+    merge: InOrderMerge,
+) -> ScoreDistribution {
+    let cursor = AtomicUsize::new(0);
+    let merge = Mutex::new(merge);
+    let work = || loop {
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(segment) = segments.get(index) else {
+            break;
+        };
+        let partial = run_segment(segment);
+        merge
+            .lock()
+            .expect("a segment worker panicked")
+            .push(index, partial);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
+    merge
+        .into_inner()
+        .expect("a segment worker panicked")
+        .distribution
 }
 
 /// Decomposes positions `0..table.len()` into ending segments.
@@ -257,7 +399,11 @@ fn build_segments(table: &UncertainTable, strategy: MeStrategy) -> Vec<Range<usi
 /// above it are removed entirely (they are automatically absent whenever the
 /// ending tuple exists); this situation only arises for single non-lead
 /// segments. Exit points are enabled exactly at the segment rows.
-fn build_rows(table: &UncertainTable, segment: Range<usize>, _k: usize) -> (Vec<DpRow>, Vec<bool>) {
+///
+/// The table's own group index is the group → prefix-members index: member
+/// positions are rank-sorted, so a group's members above the segment are a
+/// prefix of them. Concurrent segment workers share it read-only.
+fn build_rows(table: &UncertainTable, segment: Range<usize>) -> (Vec<DpRow>, Vec<bool>) {
     let start = segment.start;
     // The group of a single non-lead ending tuple: its higher-ranked members
     // must be dropped from the prefix rows. A lead-region segment never has
@@ -268,26 +414,16 @@ fn build_rows(table: &UncertainTable, segment: Range<usize>, _k: usize) -> (Vec<
         None
     };
 
-    // Gather the prefix members of every group ranked above the segment.
-    let mut first_member: HashMap<usize, usize> = HashMap::new();
-    let mut members_above: HashMap<usize, Vec<usize>> = HashMap::new();
-    for pos in 0..start {
-        let g = table.group_index(pos);
-        if Some(g) == ending_group {
-            continue;
-        }
-        first_member.entry(g).or_insert(pos);
-        members_above.entry(g).or_default().push(pos);
-    }
-
     let mut rows = Vec::with_capacity(start + segment.len());
     let mut exits = Vec::with_capacity(start + segment.len());
     for pos in 0..start {
         let g = table.group_index(pos);
-        if Some(g) == ending_group || first_member.get(&g) != Some(&pos) {
+        // Each group becomes one row, at its lead (highest-ranked member).
+        if Some(g) == ending_group || !table.is_lead(pos) {
             continue;
         }
-        let members = &members_above[&g];
+        let positions = table.group_positions(g);
+        let members = &positions[..positions.partition_point(|&p| p < start)];
         if members.len() == 1 {
             let t = table.tuple(pos);
             rows.push(DpRow::Simple {
@@ -351,7 +487,8 @@ fn restore_witness_rank_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttk_uncertain::{exact_topk_score_distribution, TupleId, UncertainTable};
+    use proptest::prelude::*;
+    use ttk_uncertain::{exact_topk_score_distribution, TupleId, UncertainTable, UncertainTuple};
 
     fn soldier_table() -> UncertainTable {
         UncertainTable::builder()
@@ -653,5 +790,127 @@ mod tests {
             assert_distributions_match(&lead.distribution, &per.distribution);
             assert!(per.segments >= lead.segments);
         }
+    }
+
+    /// Runs the streaming main algorithm with an explicit segment fan-out.
+    fn run_with(
+        table: &UncertainTable,
+        k: usize,
+        config: &MainConfig,
+        fan_out: SegmentFanOut,
+    ) -> MainOutput {
+        let mut gate = ScanGate::new(k, config.p_tau).unwrap();
+        let prefix = RankScan::new()
+            .collect_prefix(&mut TableSource::new(table), &mut gate)
+            .unwrap();
+        topk_from_prefix(&prefix, k, config, fan_out).unwrap()
+    }
+
+    /// Random tables with score ties (a small integer score range) and
+    /// greedy ME groups of up to `max_group` members.
+    fn tables(tuples: std::ops::Range<usize>) -> impl Strategy<Value = UncertainTable> {
+        let tuple = (0u64..1000, 0i32..8, 1u32..=10);
+        (proptest::collection::vec(tuple, tuples), 1usize..5).prop_map(|(mut raw, max_group)| {
+            raw.sort_by_key(|r| r.0);
+            raw.dedup_by_key(|r| r.0);
+            let tuples: Vec<UncertainTuple> = raw
+                .iter()
+                .map(|&(id, score, p)| UncertainTuple::new(id, score as f64, p as f64 / 10.0))
+                .collect::<ttk_uncertain::Result<_>>()
+                .unwrap();
+            let mut rules: Vec<Vec<TupleId>> = Vec::new();
+            let mut current: Vec<TupleId> = Vec::new();
+            let mut mass = 0.0;
+            for t in &tuples {
+                if current.len() < max_group && mass + t.prob() <= 1.0 {
+                    current.push(t.id());
+                    mass += t.prob();
+                } else {
+                    rules.push(std::mem::replace(&mut current, vec![t.id()]));
+                    mass = t.prob();
+                }
+            }
+            rules.push(current);
+            rules.retain(|rule| rule.len() > 1);
+            UncertainTable::new(tuples, rules).unwrap()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Segments fanned out over several workers and merged in order give
+        /// the sequential answer bit for bit, and both match the
+        /// possible-world oracle.
+        #[test]
+        fn fanned_out_segments_match_sequential_and_the_oracle(
+            table in tables(1..10),
+            k in 1usize..5,
+            workers in 2usize..5,
+        ) {
+            let exact = exact_topk_score_distribution(&table, k, 1 << 24).unwrap();
+            for me_strategy in [MeStrategy::LeadRegions, MeStrategy::PerEnding] {
+                let config = MainConfig { me_strategy, ..exact_config() };
+                let sequential = run_with(&table, k, &config, SegmentFanOut::Sequential);
+                let fanned = run_with(&table, k, &config, SegmentFanOut::Forced(workers));
+                prop_assert_eq!(&fanned.distribution, &sequential.distribution);
+                prop_assert_eq!(fanned.segments, sequential.segments);
+                prop_assert_eq!(fanned.scan_depth, sequential.scan_depth);
+                assert_distributions_match(&fanned.distribution, &exact);
+            }
+        }
+
+        /// With pruning and a tight line cap every merge coalesces, so the
+        /// answer depends on the merge order: the fan-out must still fold the
+        /// partials in segment order.
+        #[test]
+        fn fanned_out_segments_coalesce_in_segment_order(
+            table in tables(10..60),
+            k in 1usize..6,
+            workers in 2usize..5,
+            max_lines in 1usize..6,
+        ) {
+            for me_strategy in [MeStrategy::LeadRegions, MeStrategy::PerEnding] {
+                let config = MainConfig {
+                    max_lines,
+                    me_strategy,
+                    ..MainConfig::default()
+                };
+                let sequential = run_with(&table, k, &config, SegmentFanOut::Sequential);
+                let fanned = run_with(&table, k, &config, SegmentFanOut::Forced(workers));
+                prop_assert_eq!(&fanned.distribution, &sequential.distribution);
+                prop_assert_eq!(fanned.segments, sequential.segments);
+                prop_assert_eq!(fanned.scan_depth, sequential.scan_depth);
+            }
+        }
+    }
+
+    #[test]
+    fn small_queries_stay_on_the_calling_thread() {
+        // Segment end positions shaped like the real queries: Σ end over the
+        // segments is what the work estimate charges per k and line.
+        let shape = |segments: usize, rows: usize| -> Vec<Range<usize>> {
+            (0..segments)
+                .map(|i| {
+                    let end = (rows * (i + 1) * 2 / (segments * (segments + 1))).max(1);
+                    end - 1..end
+                })
+                .collect()
+        };
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // A gated remote k=3 query (19 segments, Σ end 1368, 200 lines).
+        let remote = shape(19, 1368);
+        assert_eq!(SegmentFanOut::Auto.workers(&remote, 3, 200), 1);
+        // A serving daemon's 20-line cache miss at k=5 (30 segments, Σ 1416).
+        let miss = shape(30, 1416);
+        assert_eq!(SegmentFanOut::Auto.workers(&miss, 5, 20), 1);
+        // The paper's k=10 on a 60-segment CarTel area fans out.
+        let paper = shape(75, 4991);
+        assert_eq!(SegmentFanOut::Auto.workers(&paper, 10, 200), cores.min(75));
+        // Never more workers than segments; never fanned out when told not to.
+        assert_eq!(SegmentFanOut::Auto.workers(&paper[..1], 10, 200), 1);
+        assert_eq!(SegmentFanOut::Sequential.workers(&paper, 20, 200), 1);
+        assert_eq!(SegmentFanOut::Forced(8).workers(&paper[..3], 1, 1), 3);
+        assert_eq!(SegmentFanOut::Forced(2).workers(&[], 1, 1), 1);
     }
 }

@@ -29,7 +29,7 @@ use ttk_uncertain::{
 
 use crate::baselines::exhaustive::exhaustive_topk_distribution;
 use crate::baselines::u_topk::{u_topk, UTopkAnswer, UTopkConfig};
-use crate::dp::{topk_from_prefix, MainConfig, MeStrategy};
+use crate::dp::{topk_from_prefix, MainConfig, MeStrategy, SegmentFanOut};
 use crate::k_combo::k_combo_on_prefix;
 use crate::scan::RankScan;
 use crate::scan_depth::{GateMeter, ScanGate};
@@ -192,6 +192,9 @@ impl QueryAnswer {
 pub struct Executor {
     scan: RankScan,
     gate: ScanGate,
+    /// Where the main algorithm's segment DPs run: fanned out over the cores
+    /// by default, on the calling thread inside batch workers.
+    segment_fan_out: SegmentFanOut,
 }
 
 impl Default for Executor {
@@ -199,6 +202,7 @@ impl Default for Executor {
         Executor {
             scan: RankScan::new(),
             gate: ScanGate::open(),
+            segment_fan_out: SegmentFanOut::Auto,
         }
     }
 }
@@ -207,6 +211,22 @@ impl Executor {
     /// Creates an executor with empty scratch buffers.
     pub fn new() -> Self {
         Executor::default()
+    }
+
+    /// An executor for a batch worker thread: the batch already spreads its
+    /// queries over the cores, so each query's segment DPs stay on the
+    /// worker's own thread.
+    pub(crate) fn batch_worker() -> Self {
+        Executor {
+            segment_fan_out: SegmentFanOut::Sequential,
+            ..Executor::default()
+        }
+    }
+
+    /// Where this executor runs the main algorithm's segment DPs.
+    #[cfg(test)]
+    pub(crate) fn segment_fan_out(&self) -> SegmentFanOut {
+        self.segment_fan_out
     }
 
     /// Executes a query against an in-memory table.
@@ -277,7 +297,7 @@ impl Executor {
                         MeStrategy::PerEnding
                     },
                 };
-                let out = topk_from_prefix(&prefix, query.k, &config)?;
+                let out = topk_from_prefix(&prefix, query.k, &config, self.segment_fan_out)?;
                 (out.distribution, out.scan_depth)
             }
             Algorithm::StateExpansion | Algorithm::KCombo => {

@@ -1193,7 +1193,7 @@ pub(crate) fn fan_out<A, W, S>(
             let order = &order;
             let work = &work;
             scope.spawn(move || {
-                let mut executor = Executor::new();
+                let mut executor = Executor::batch_worker();
                 loop {
                     let slot = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(&index) = order.get(slot) else { break };
@@ -1214,6 +1214,7 @@ pub(crate) fn fan_out<A, W, S>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::SegmentFanOut;
     use ttk_uncertain::{SourceTuple, UncertainTuple, VecSource};
 
     fn small_table() -> UncertainTable {
@@ -1318,6 +1319,27 @@ mod tests {
         let bounded = TopkQuery::new(3).with_u_topk(false);
         let draining = TopkQuery::new(3);
         assert!(estimated_cost(&draining, Some(500)) > estimated_cost(&bounded, Some(500)));
+    }
+
+    #[test]
+    fn batch_workers_keep_segment_dps_on_their_own_thread() {
+        // Parallel batch workers already use the cores: their executors run
+        // every segment DP sequentially. A one-thread batch runs on the
+        // caller's executor, which may fan a big DP out.
+        let mut caller = Executor::new();
+        for (threads, expected) in [(2, SegmentFanOut::Sequential), (1, SegmentFanOut::Auto)] {
+            let mut seen = Vec::new();
+            fan_out(
+                4,
+                threads,
+                (0..4).collect(),
+                4,
+                &mut caller,
+                |_, executor| Ok(executor.segment_fan_out()),
+                |_, fan_out: Result<SegmentFanOut>| seen.push(fan_out.unwrap()),
+            );
+            assert_eq!(seen, vec![expected; 4], "{threads} threads");
+        }
     }
 
     #[test]

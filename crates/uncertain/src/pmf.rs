@@ -548,14 +548,21 @@ impl ScoreDistribution {
 /// form fixes both:
 ///
 /// * [`scale_in_place`](Self::scale_in_place) multiplies the probability
-///   column in place — a branch-free pass over contiguous `f64`s the compiler
-///   auto-vectorizes, with no allocation at all;
+///   columns in place — a branch-free pass over contiguous `f64`s the
+///   compiler auto-vectorizes, with no allocation at all;
 /// * [`merge_shifted_scaled`](Self::merge_shifted_scaled) fuses steps (2) and
 ///   (3) of §3.2 into one sorted-union pass that computes shifted scores and
-///   scaled probabilities on the fly and only allocates a witness vector for
+///   scaled probabilities on the fly and copies a witness's ids only for
 ///   lines that actually survive the merge;
 /// * [`coalesce`](Self::coalesce) scans for the closest pair over the
 ///   contiguous score column instead of striding through 40-byte points.
+///
+/// Witnesses are flat columns too. Every line of a DP cell D_{i,j} carries
+/// exactly `j` ids, so the ids of all lines sit back to back in one
+/// `Vec<TupleId>` at a fixed stride, beside a witness-probability column.
+/// Extending, keeping or moving a witness is a slice copy; no line owns an
+/// allocation. [`into_distribution`](Self::into_distribution) builds one
+/// [`VectorWitness`] per surviving line, once, at the end.
 ///
 /// Every operation performs the floating-point arithmetic in exactly the
 /// order of the equivalent [`ScoreDistribution`] calls
@@ -564,9 +571,11 @@ impl ScoreDistribution {
 /// [`coalesce`](ScoreDistribution::coalesce)), so results are bit-identical
 /// to the scalar path — no reassociation, no fused multiply-adds.
 ///
-/// Witness tracking is all-or-nothing: the witness column is either empty
-/// (witnesses disabled) or exactly as long as the score column. Mixing a
-/// tracked operand with an untracked one is unsupported (debug-asserted).
+/// Witness tracking is all-or-nothing: the witness columns are either empty
+/// (witnesses disabled) or hold one witness per score line, all of the same
+/// length. Mixing a tracked operand with an untracked one is unsupported
+/// (debug-asserted); merging witnesses of another length into a non-empty
+/// set panics (see [`merge_shifted_scaled`](Self::merge_shifted_scaled)).
 ///
 /// ```
 /// use ttk_uncertain::ScoreColumns;
@@ -585,9 +594,13 @@ pub struct ScoreColumns {
     scores: Vec<f64>,
     /// Probability mass per score line (parallel to `scores`).
     probs: Vec<f64>,
-    /// Witness per score line: parallel to `scores` when witnesses are
-    /// tracked, empty otherwise.
-    witnesses: Vec<VectorWitness>,
+    /// Witness probability per score line: parallel to `scores` when
+    /// witnesses are tracked, empty otherwise.
+    witness_probs: Vec<f64>,
+    /// The witness ids of every line back to back, `stride` per line.
+    witness_ids: Vec<TupleId>,
+    /// Ids per witness (the `j` of the cell).
+    stride: usize,
 }
 
 /// One candidate pair in the coalescing heap: the gap between line `left`
@@ -632,11 +645,13 @@ impl ScoreColumns {
         ScoreColumns {
             scores: vec![0.0],
             probs: vec![1.0],
-            witnesses: if track_witnesses {
-                vec![VectorWitness::empty()]
+            witness_probs: if track_witnesses {
+                vec![1.0]
             } else {
                 Vec::new()
             },
+            witness_ids: Vec::new(),
+            stride: 0,
         }
     }
 
@@ -656,15 +671,41 @@ impl ScoreColumns {
     pub fn clear(&mut self) {
         self.scores.clear();
         self.probs.clear();
-        self.witnesses.clear();
+        self.witness_probs.clear();
+        self.witness_ids.clear();
+    }
+
+    /// True when the lines carry witnesses.
+    #[inline]
+    fn tracked(&self) -> bool {
+        !self.witness_probs.is_empty()
+    }
+
+    /// The witness ids of line `line`.
+    #[inline]
+    fn witness(&self, line: usize) -> &[TupleId] {
+        &self.witness_ids[line * self.stride..(line + 1) * self.stride]
+    }
+
+    /// Checks the column invariants: parallel columns, and one witness of
+    /// `stride` ids per line when tracked.
+    #[inline]
+    fn debug_assert_shape(&self) {
+        debug_assert_eq!(self.scores.len(), self.probs.len());
+        debug_assert!(self.witness_probs.is_empty() || self.witness_probs.len() == self.len());
+        debug_assert_eq!(
+            self.witness_ids.len(),
+            self.witness_probs.len() * self.stride,
+            "every witness of one cell has the same length"
+        );
     }
 
     /// Scales every probability (line and witness) by `factor` in place — the
     /// exclude branch of the recurrence. Equivalent to
     /// [`ScoreDistribution::shifted_scaled`]`(0.0, factor, None)` including
     /// its `score + 0.0` normalization of negative zeros, but with no
-    /// allocation: the probability column is multiplied in a branch-free pass
-    /// over contiguous `f64`s. A non-positive `factor` empties the set.
+    /// allocation: the probability columns are multiplied in branch-free
+    /// passes over contiguous `f64`s. A non-positive `factor` empties the set.
     pub fn scale_in_place(&mut self, factor: f64) {
         if factor <= 0.0 {
             self.clear();
@@ -676,8 +717,8 @@ impl ScoreColumns {
         for p in &mut self.probs {
             *p *= factor;
         }
-        for w in &mut self.witnesses {
-            w.probability *= factor;
+        for p in &mut self.witness_probs {
+            *p *= factor;
         }
     }
 
@@ -691,8 +732,14 @@ impl ScoreColumns {
     /// and scaled probabilities are computed on the fly in the same order,
     /// equal lines (under [`scores_equal`]) sum as `self + below` and keep
     /// the strictly more probable witness. The difference is purely
-    /// mechanical — no intermediate shifted copy exists, and a witness vector
-    /// is only allocated for `below` lines that survive the merge.
+    /// mechanical — no intermediate shifted copy exists, and a `below`
+    /// witness's ids are only copied for lines that survive the merge.
+    ///
+    /// # Panics
+    ///
+    /// When both sets are non-empty and tracked, and `below`'s witnesses
+    /// (one id longer with `prepend`) differ in length from `self`'s: all
+    /// witnesses of one set share one length.
     pub fn merge_shifted_scaled(
         &mut self,
         below: &ScoreColumns,
@@ -703,94 +750,106 @@ impl ScoreColumns {
         if factor <= 0.0 || below.is_empty() {
             return;
         }
-        let tracked = !below.witnesses.is_empty();
+        let tracked = below.tracked();
+        let stride = below.stride + usize::from(prepend.is_some());
         debug_assert!(
-            self.is_empty() || self.witnesses.is_empty() != tracked,
+            self.is_empty() || self.tracked() == tracked,
             "mixing witness-tracked and untracked operands"
+        );
+        assert!(
+            self.is_empty() || !tracked || self.stride == stride,
+            "merging witnesses of {stride} ids into a cell of {}-id witnesses",
+            self.stride
         );
         if self.is_empty() {
             self.scores.extend(below.scores.iter().map(|s| s + delta));
             self.probs.extend(below.probs.iter().map(|p| p * factor));
-            self.witnesses.reserve(below.witnesses.len());
-            for w in &below.witnesses {
-                self.witnesses.push(Self::materialize(w, factor, prepend));
+            self.stride = stride;
+            if tracked {
+                self.witness_probs
+                    .extend(below.witness_probs.iter().map(|p| p * factor));
+                self.witness_ids.reserve(below.len() * stride);
+                for ib in 0..below.len() {
+                    self.witness_ids.extend(prepend);
+                    self.witness_ids.extend_from_slice(below.witness(ib));
+                }
             }
+            self.debug_assert_shape();
             return;
         }
         let (a_len, b_len) = (self.len(), below.len());
-        let mut scores = Vec::with_capacity(a_len + b_len);
-        let mut probs = Vec::with_capacity(a_len + b_len);
-        let mut witnesses = Vec::with_capacity(if tracked { a_len + b_len } else { 0 });
-        let old_scores = std::mem::take(&mut self.scores);
-        let old_probs = std::mem::take(&mut self.probs);
-        let mut old_witnesses = std::mem::take(&mut self.witnesses).into_iter();
+        let lines = a_len + b_len;
+        let mut scores = Vec::with_capacity(lines);
+        let mut probs = Vec::with_capacity(lines);
+        let (mut witness_probs, mut witness_ids) = if tracked {
+            (
+                Vec::with_capacity(lines),
+                Vec::with_capacity(lines * stride),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        // Witness of a line of `self` (kept as is) or of `below` (scaled,
+        // with `prepend` in front).
+        let keep_a = |ia: usize, wp: &mut Vec<f64>, ids: &mut Vec<TupleId>| {
+            wp.push(self.witness_probs[ia]);
+            ids.extend_from_slice(self.witness(ia));
+        };
+        let take_b = |ib: usize, wp: &mut Vec<f64>, ids: &mut Vec<TupleId>| {
+            wp.push(below.witness_probs[ib] * factor);
+            ids.extend(prepend);
+            ids.extend_from_slice(below.witness(ib));
+        };
         let (mut ia, mut ib) = (0, 0);
         while ia < a_len && ib < b_len {
-            let a_score = old_scores[ia];
+            let a_score = self.scores[ia];
             let b_score = below.scores[ib] + delta;
             if scores_equal(a_score, b_score) {
                 scores.push(a_score);
-                probs.push(old_probs[ia] + below.probs[ib] * factor);
+                probs.push(self.probs[ia] + below.probs[ib] * factor);
                 if tracked {
-                    let mut w = old_witnesses.next().expect("tracked witness column");
-                    let bw = &below.witnesses[ib];
-                    if bw.probability * factor > w.probability {
-                        w = Self::materialize(bw, factor, prepend);
+                    if below.witness_probs[ib] * factor > self.witness_probs[ia] {
+                        take_b(ib, &mut witness_probs, &mut witness_ids);
+                    } else {
+                        keep_a(ia, &mut witness_probs, &mut witness_ids);
                     }
-                    witnesses.push(w);
                 }
                 ia += 1;
                 ib += 1;
             } else if a_score < b_score {
                 scores.push(a_score);
-                probs.push(old_probs[ia]);
+                probs.push(self.probs[ia]);
                 if tracked {
-                    witnesses.push(old_witnesses.next().expect("tracked witness column"));
+                    keep_a(ia, &mut witness_probs, &mut witness_ids);
                 }
                 ia += 1;
             } else {
                 scores.push(b_score);
                 probs.push(below.probs[ib] * factor);
                 if tracked {
-                    witnesses.push(Self::materialize(&below.witnesses[ib], factor, prepend));
+                    take_b(ib, &mut witness_probs, &mut witness_ids);
                 }
                 ib += 1;
             }
         }
-        while ia < a_len {
-            scores.push(old_scores[ia]);
-            probs.push(old_probs[ia]);
-            if tracked {
-                witnesses.push(old_witnesses.next().expect("tracked witness column"));
-            }
-            ia += 1;
+        scores.extend_from_slice(&self.scores[ia..]);
+        probs.extend_from_slice(&self.probs[ia..]);
+        if tracked {
+            witness_probs.extend_from_slice(&self.witness_probs[ia..]);
+            witness_ids.extend_from_slice(&self.witness_ids[ia * self.stride..]);
         }
-        while ib < b_len {
+        for ib in ib..b_len {
             scores.push(below.scores[ib] + delta);
             probs.push(below.probs[ib] * factor);
             if tracked {
-                witnesses.push(Self::materialize(&below.witnesses[ib], factor, prepend));
+                take_b(ib, &mut witness_probs, &mut witness_ids);
             }
-            ib += 1;
         }
         self.scores = scores;
         self.probs = probs;
-        self.witnesses = witnesses;
-    }
-
-    /// The shifted/scaled/prepended copy of one witness — exactly the mapping
-    /// [`ScoreDistribution::shifted_scaled`] applies, deferred to the moment
-    /// the witness is known to survive.
-    fn materialize(w: &VectorWitness, factor: f64, prepend: Option<TupleId>) -> VectorWitness {
-        let mut ids = Vec::with_capacity(w.ids.len() + usize::from(prepend.is_some()));
-        if let Some(id) = prepend {
-            ids.push(id);
-        }
-        ids.extend_from_slice(&w.ids);
-        VectorWitness {
-            ids,
-            probability: w.probability * factor,
-        }
+        self.witness_probs = witness_probs;
+        self.witness_ids = witness_ids;
+        self.debug_assert_shape();
     }
 
     /// Coalesces lines until at most `max_lines` remain — the columnar
@@ -816,11 +875,22 @@ impl ScoreColumns {
         } else {
             self.coalesce_heap(max_lines, policy);
         }
+        self.debug_assert_shape();
+    }
+
+    /// Moves the witness of line `from` over the witness of line `to`.
+    #[inline]
+    fn copy_witness(&mut self, from: usize, to: usize) {
+        self.witness_probs[to] = self.witness_probs[from];
+        let s = self.stride;
+        self.witness_ids
+            .copy_within(from * s..(from + 1) * s, to * s);
     }
 
     /// The allocation-free scan-for-minimum coalescing loop: optimal for a
     /// small number of merges over a short score column.
     fn coalesce_scan(&mut self, max_lines: usize, policy: CoalescePolicy) {
+        let tracked = self.tracked();
         while self.len() > max_lines {
             let mut best = 0;
             let mut best_gap = f64::INFINITY;
@@ -831,8 +901,9 @@ impl ScoreColumns {
                     best = i;
                 }
             }
-            let right_score = self.scores.remove(best + 1);
-            let right_prob = self.probs.remove(best + 1);
+            let right = best + 1;
+            let right_score = self.scores.remove(right);
+            let right_prob = self.probs.remove(right);
             let merged_prob = self.probs[best] + right_prob;
             self.scores[best] = match policy {
                 CoalescePolicy::PaperMean => (self.scores[best] + right_score) / 2.0,
@@ -841,11 +912,13 @@ impl ScoreColumns {
                 }
             };
             self.probs[best] = merged_prob;
-            if !self.witnesses.is_empty() {
-                let right_witness = self.witnesses.remove(best + 1);
-                if right_witness.probability > self.witnesses[best].probability {
-                    self.witnesses[best] = right_witness;
+            if tracked {
+                if self.witness_probs[right] > self.witness_probs[best] {
+                    self.copy_witness(right, best);
                 }
+                self.witness_probs.remove(right);
+                let s = self.stride;
+                self.witness_ids.drain(right * s..(right + 1) * s);
             }
         }
     }
@@ -861,7 +934,7 @@ impl ScoreColumns {
     /// merge arithmetic is untouched, so results stay bit-exact.
     fn coalesce_heap(&mut self, max_lines: usize, policy: CoalescePolicy) {
         let n = self.len();
-        let tracked = !self.witnesses.is_empty();
+        let tracked = self.tracked();
         // Line `i` is alive while `next[i] != DEAD`; `next`/`prev` thread the
         // surviving lines in ascending-score order (original indices never
         // reorder, so index order == scan order). `stamp[i]` versions the gap
@@ -901,8 +974,9 @@ impl ScoreColumns {
                 }
             };
             self.probs[left] = merged_prob;
-            if tracked && self.witnesses[right].probability > self.witnesses[left].probability {
-                self.witnesses.swap(left, right);
+            // `right` dies below, so its witness is copied, not swapped.
+            if tracked && self.witness_probs[right] > self.witness_probs[left] {
+                self.copy_witness(right, left);
             }
             // Unlink `right` and refresh the two affected gaps.
             let after = next[right];
@@ -939,7 +1013,7 @@ impl ScoreColumns {
                     self.scores[keep] = self.scores[i];
                     self.probs[keep] = self.probs[i];
                     if tracked {
-                        self.witnesses.swap(keep, i);
+                        self.copy_witness(i, keep);
                     }
                 }
                 keep += 1;
@@ -948,24 +1022,27 @@ impl ScoreColumns {
         self.scores.truncate(keep);
         self.probs.truncate(keep);
         if tracked {
-            self.witnesses.truncate(keep);
+            self.witness_probs.truncate(keep);
+            self.witness_ids.truncate(keep * self.stride);
         }
     }
 
     /// Converts the working set into the consumer-facing
     /// [`ScoreDistribution`] (witnesses attached when tracked, `None`
-    /// otherwise), consuming the columns.
+    /// otherwise), consuming the columns. This is the one place a
+    /// [`VectorWitness`] is allocated per line.
     pub fn into_distribution(self) -> ScoreDistribution {
-        let tracked = !self.witnesses.is_empty();
-        let mut points = Vec::with_capacity(self.scores.len());
-        let mut witnesses = self.witnesses.into_iter();
-        for (score, probability) in self.scores.into_iter().zip(self.probs) {
-            points.push(DistributionPoint {
-                score,
-                probability,
-                witness: if tracked { witnesses.next() } else { None },
-            });
-        }
+        let tracked = self.tracked();
+        let points = (0..self.len())
+            .map(|line| DistributionPoint {
+                score: self.scores[line],
+                probability: self.probs[line],
+                witness: tracked.then(|| VectorWitness {
+                    ids: self.witness(line).to_vec(),
+                    probability: self.witness_probs[line],
+                }),
+            })
+            .collect();
         ScoreDistribution { points }
     }
 }
@@ -1174,26 +1251,36 @@ mod tests {
         assert_eq!(vs[0].ids().len(), 2);
     }
 
-    /// Converts a distribution whose points either all carry witnesses or
-    /// none do into the columnar form (test-only seam: production code builds
-    /// columns through `unit`/`merge_shifted_scaled`).
+    /// Converts a distribution whose points either all carry witnesses of
+    /// one length or none do into the columnar form (test-only seam:
+    /// production code builds columns through `unit`/`merge_shifted_scaled`).
     fn columns_of(d: &ScoreDistribution) -> ScoreColumns {
         let tracked = d.points().iter().all(|p| p.witness.is_some()) && !d.is_empty();
+        let witnesses: Vec<&VectorWitness> = if tracked {
+            d.points()
+                .iter()
+                .filter_map(|p| p.witness.as_ref())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let stride = witnesses.first().map_or(0, |w| w.ids.len());
+        assert!(witnesses.iter().all(|w| w.ids.len() == stride));
         ScoreColumns {
             scores: d.points().iter().map(|p| p.score).collect(),
             probs: d.points().iter().map(|p| p.probability).collect(),
-            witnesses: if tracked {
-                d.points()
-                    .iter()
-                    .map(|p| p.witness.clone().unwrap())
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            witness_probs: witnesses.iter().map(|w| w.probability).collect(),
+            witness_ids: witnesses
+                .iter()
+                .flat_map(|w| w.ids.iter().copied())
+                .collect(),
+            stride,
         }
     }
 
-    fn witnessed(pairs: &[(f64, f64)], seed: u64) -> ScoreDistribution {
+    /// Lines with `width`-id witnesses; ids are derived from `seed` so two
+    /// fixtures never share one.
+    fn witnessed_wide(pairs: &[(f64, f64)], seed: u64, width: u64) -> ScoreDistribution {
         let points = pairs
             .iter()
             .enumerate()
@@ -1201,12 +1288,18 @@ mod tests {
                 score,
                 probability,
                 witness: Some(VectorWitness {
-                    ids: vec![TupleId(seed + i as u64), TupleId(seed + 100 + i as u64)],
+                    ids: (0..width)
+                        .map(|w| TupleId(seed + 100 * w + i as u64))
+                        .collect(),
                     probability: probability * 0.9,
                 }),
             })
             .collect();
         ScoreDistribution::from_points(points)
+    }
+
+    fn witnessed(pairs: &[(f64, f64)], seed: u64) -> ScoreDistribution {
+        witnessed_wide(pairs, seed, 2)
     }
 
     #[test]
@@ -1226,8 +1319,10 @@ mod tests {
     fn columns_merge_matches_shift_then_merge_bit_exactly() {
         // Scores engineered so the union hits every branch: strictly
         // interleaved lines, epsilon-equal lines (witness comparison both
-        // ways), and tails on both sides.
-        let acc = witnessed(&[(1.0, 0.2), (4.0, 0.4), (9.0, 0.1), (12.0, 0.05)], 1);
+        // ways), and tails on both sides. As in a DP cell, every line of the
+        // result carries witnesses of one length: the accumulator's are one
+        // id longer than `below`'s exactly when an id is prepended.
+        let pairs = [(1.0, 0.2), (4.0, 0.4), (9.0, 0.1), (12.0, 0.05)];
         let below = witnessed(
             &[(0.5, 0.3), (2.0 + 1e-13, 0.9), (7.0, 0.6), (20.0, 0.01)],
             50,
@@ -1237,6 +1332,7 @@ mod tests {
             (0.0, 1.0, None),
             (-3.0, 0.001, Some(TupleId(5))),
         ] {
+            let acc = witnessed_wide(&pairs, 1, 2 + u64::from(prepend.is_some()));
             let mut scalar = acc.clone();
             scalar.merge_from(&below.shifted_scaled(delta, factor, prepend));
             let mut cols = columns_of(&acc);
@@ -1250,9 +1346,18 @@ mod tests {
         cols.merge_shifted_scaled(&columns_of(&below), 1.0, 0.5, Some(TupleId(3)));
         assert_eq!(cols.into_distribution(), scalar);
         // A non-positive factor is a no-op, like merging an emptied shift.
+        let acc = witnessed(&pairs, 1);
         let mut cols = columns_of(&acc);
         cols.merge_shifted_scaled(&columns_of(&below), 1.0, 0.0, None);
         assert_eq!(cols.into_distribution(), acc);
+    }
+
+    #[test]
+    #[should_panic(expected = "merging witnesses of 3 ids into a cell of 2-id witnesses")]
+    fn columns_merge_rejects_witnesses_of_another_length() {
+        let mut cols = columns_of(&witnessed(&[(1.0, 0.5)], 1));
+        let below = columns_of(&witnessed(&[(2.0, 0.5)], 50));
+        cols.merge_shifted_scaled(&below, 1.0, 0.5, Some(TupleId(9)));
     }
 
     #[test]

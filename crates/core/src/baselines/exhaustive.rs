@@ -77,12 +77,14 @@ pub fn exhaustive_topk_distribution(
 
     let mut dist = ScoreDistribution::empty();
     for (score, probability) in score_mass {
-        let witness = best_vector_for_score
-            .get(&score.to_bits())
-            .map(|(v, p)| VectorWitness {
-                ids: v.iter().map(|&pos| table.tuple(pos).id()).collect(),
-                probability: *p,
-            });
+        let best = best_vector_for_score.get(&score.to_bits()).map(|(v, p)| {
+            let ids: Vec<TupleId> = v.iter().map(|&pos| table.tuple(pos).id()).collect();
+            (ids, *p)
+        });
+        let witness = best.as_ref().map(|(ids, p)| VectorWitness {
+            ids,
+            probability: *p,
+        });
         dist.add_mass(score, probability, witness);
     }
     Ok(dist)
@@ -175,16 +177,9 @@ mod tests {
     fn distribution_with_witnesses_matches_figure_3() {
         let d = exhaustive_topk_distribution(&soldier_table(), 2, 1 << 20).unwrap();
         assert!((d.total_probability() - 1.0).abs() < 1e-9);
-        let p118 = d
-            .points()
-            .iter()
-            .find(|p| (p.score - 118.0).abs() < 1e-9)
-            .unwrap();
+        let p118 = d.points().find(|p| (p.score - 118.0).abs() < 1e-9).unwrap();
         assert!((p118.probability - 0.2).abs() < 1e-9);
-        assert_eq!(
-            p118.witness.as_ref().unwrap().ids,
-            vec![TupleId(2), TupleId(6)]
-        );
+        assert_eq!(p118.witness.unwrap().ids, [TupleId(2), TupleId(6)]);
     }
 
     #[test]

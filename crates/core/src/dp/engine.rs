@@ -10,7 +10,9 @@
 //! The drivers in [`super`] decide how tables are translated into rows and
 //! which exits are enabled; the engine is agnostic to those decisions.
 
-use ttk_uncertain::{CoalescePolicy, ScoreColumns, ScoreDistribution, TupleId};
+use ttk_uncertain::{ScoreDistribution, TupleId};
+
+use super::MainConfig;
 
 /// One row of the dynamic-programming table.
 #[derive(Debug, Clone)]
@@ -50,55 +52,27 @@ impl DpRow {
     }
 }
 
-/// Tuning knobs of the engine.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
-    /// Maximum number of lines kept in any intermediate or final
-    /// distribution (`c'` of §3.2.1). Zero disables coalescing.
-    pub max_lines: usize,
-    /// How coalesced lines combine.
-    pub coalesce_policy: CoalescePolicy,
-    /// Whether witness vectors are tracked (needed for c-Typical-Topk; can be
-    /// disabled to save memory when only the PMF is needed).
-    pub track_witnesses: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            max_lines: 200,
-            coalesce_policy: CoalescePolicy::PaperMean,
-            track_witnesses: true,
-        }
-    }
-}
-
 /// Runs the dynamic program and returns the distribution of the total score
 /// of top-`k` selections over `rows`, where a selection may only have its
 /// last selected row at a position `r` with `exits[r] == true`.
 ///
-/// `exits.len()` must equal `rows.len()`.
+/// `exits.len()` must equal `rows.len()`. Of `config`, the engine reads the
+/// line cap, the coalescing policy and whether witnesses are tracked.
 ///
-/// The working cells are held as [`ScoreColumns`] — parallel score and
-/// probability columns — so the two inner-loop operations run columnar: the
-/// exclude branch scales the probability columns in place (a branch-free,
-/// auto-vectorizable pass with no allocation) and the include branch fuses
-/// shift, scale and merge into one sorted-union sweep. Witnesses are flat
-/// columns as well: every line of cell D_{i,j} carries exactly `j` ids, held
-/// back to back in one id column per cell, so extending a witness by the
-/// row's tuple is a slice copy, and a [`VectorWitness`] is built once per
-/// line of the returned distribution. Both operations perform the
-/// floating-point arithmetic in exactly the order of the scalar
-/// [`ScoreDistribution`] operations, so the returned distribution is
-/// bit-identical to the point-at-a-time formulation.
+/// Every cell is a columnar [`ScoreDistribution`], so the two inner-loop
+/// operations run over contiguous columns: the exclude branch scales the
+/// probability columns in place (a branch-free, auto-vectorizable pass with
+/// no allocation) and the include branch fuses shift, scale and merge into
+/// one sorted-union sweep. Every line of cell D_{i,j} carries exactly `j`
+/// witness ids, held back to back in one id column per cell, so extending a
+/// witness by the row's tuple is a slice copy. The answer cell is returned
+/// as is.
 ///
 /// Only the *live* cells are computed: D_{0,k} reads D_{1,k} and
 /// D_{1,k-1}, which read cells down to j = k-2 at row 2, and so on, so at
 /// row `i` only the cells j ≥ max(1, k − i) can reach the answer. The
 /// skipped cells are never read, which keeps the output bit-identical.
-///
-/// [`VectorWitness`]: ttk_uncertain::VectorWitness
-pub fn run(rows: &[DpRow], exits: &[bool], k: usize, config: &EngineConfig) -> ScoreDistribution {
+pub fn run(rows: &[DpRow], exits: &[bool], k: usize, config: &MainConfig) -> ScoreDistribution {
     assert_eq!(rows.len(), exits.len(), "one exit flag per row");
     if k == 0 || rows.is_empty() {
         return ScoreDistribution::empty();
@@ -109,9 +83,9 @@ pub fn run(rows: &[DpRow], exits: &[bool], k: usize, config: &EngineConfig) -> S
     // when it needs D_{i+1, 0}. `next` is the double buffer the new cells are
     // written into; the two swap every row, so the cell vectors are
     // allocated once.
-    let mut current: Vec<ScoreColumns> = vec![ScoreColumns::empty(); k + 1];
-    let mut next: Vec<ScoreColumns> = vec![ScoreColumns::empty(); k + 1];
-    let unit = ScoreColumns::unit(config.track_witnesses);
+    let mut current: Vec<ScoreDistribution> = vec![ScoreDistribution::empty(); k + 1];
+    let mut next: Vec<ScoreDistribution> = vec![ScoreDistribution::empty(); k + 1];
+    let unit = ScoreDistribution::unit(config.track_witnesses);
 
     for i in (0..rows.len()).rev() {
         let row = &rows[i];
@@ -130,7 +104,7 @@ pub fn run(rows: &[DpRow], exits: &[bool], k: usize, config: &EngineConfig) -> S
             dist.scale_in_place(exclude_p);
             // Include branch: row i contributes one tuple; the remaining j-1
             // selections come from below (or from the exit when j == 1).
-            let below: &ScoreColumns = if j == 1 {
+            let below: &ScoreDistribution = if j == 1 {
                 if exits[i] {
                     &unit
                 } else {
@@ -163,7 +137,7 @@ pub fn run(rows: &[DpRow], exits: &[bool], k: usize, config: &EngineConfig) -> S
         // exit.
         std::mem::swap(&mut current, &mut next);
     }
-    std::mem::take(&mut current[k]).into_distribution()
+    std::mem::take(&mut current[k])
 }
 
 #[cfg(test)]
@@ -178,10 +152,10 @@ mod tests {
         }
     }
 
-    fn cfg() -> EngineConfig {
-        EngineConfig {
+    fn cfg() -> MainConfig {
+        MainConfig {
             max_lines: 0,
-            ..EngineConfig::default()
+            ..MainConfig::default()
         }
     }
 
@@ -216,10 +190,10 @@ mod tests {
         let rows = vec![simple(1, 10.0, 0.5), simple(2, 4.0, 0.8)];
         let d = run(&rows, &[true, true], 2, &cfg());
         assert_eq!(d.len(), 1);
-        assert!((d.points()[0].score - 14.0).abs() < 1e-12);
-        assert!((d.points()[0].probability - 0.4).abs() < 1e-12);
-        let w = d.points()[0].witness.as_ref().unwrap();
-        assert_eq!(w.ids, vec![TupleId(1), TupleId(2)]);
+        assert!((d.point(0).score - 14.0).abs() < 1e-12);
+        assert!((d.point(0).probability - 0.4).abs() < 1e-12);
+        let w = d.point(0).witness.unwrap();
+        assert_eq!(w.ids, [TupleId(1), TupleId(2)]);
     }
 
     #[test]
@@ -229,8 +203,8 @@ mod tests {
         let d = run(&rows, &[false, true], 1, &cfg());
         // Top-1 ending at row 1 means row 0 must be absent.
         assert_eq!(d.len(), 1);
-        assert!((d.points()[0].score - 4.0).abs() < 1e-12);
-        assert!((d.points()[0].probability - 0.4).abs() < 1e-12);
+        assert!((d.point(0).score - 4.0).abs() < 1e-12);
+        assert!((d.point(0).probability - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -270,8 +244,8 @@ mod tests {
         assert!((probs[0].0 - 17.0).abs() < 1e-12 && (probs[0].1 - 0.2).abs() < 1e-12);
         assert!((probs[1].0 - 18.0).abs() < 1e-12 && (probs[1].1 - 0.15).abs() < 1e-12);
         // Witness of score 17 is <B, C>.
-        let w = d.points()[0].witness.as_ref().unwrap();
-        assert_eq!(w.ids, vec![TupleId(2), TupleId(3)]);
+        let w = d.point(0).witness.unwrap();
+        assert_eq!(w.ids, [TupleId(2), TupleId(3)]);
     }
 
     /// Every present/absent pattern of independent simple rows: the top-k
@@ -322,10 +296,7 @@ mod tests {
                 if !exits[k - 1..].contains(&true) {
                     assert!(got.is_empty(), "exits {exits:?}, k={k}");
                 }
-                assert!(got
-                    .points()
-                    .iter()
-                    .all(|p| p.witness.as_ref().unwrap().ids.len() == k));
+                assert!(got.points().all(|p| p.witness.unwrap().ids.len() == k));
             }
         }
     }
@@ -343,7 +314,7 @@ mod tests {
         let mut config = cfg();
         config.track_witnesses = false;
         let d = run(&rows, &[true, true], 1, &config);
-        assert!(d.points().iter().all(|p| p.witness.is_none()));
+        assert!(d.points().all(|p| p.witness.is_none()));
     }
 
     #[test]
@@ -352,9 +323,9 @@ mod tests {
             .map(|i| simple(i as u64, 1000.0 - i as f64 * 7.3, 0.5))
             .collect();
         let exits = vec![true; rows.len()];
-        let config = EngineConfig {
+        let config = MainConfig {
             max_lines: 16,
-            ..EngineConfig::default()
+            ..MainConfig::default()
         };
         let d = run(&rows, &exits, 3, &config);
         assert!(d.len() <= 16);
@@ -370,7 +341,7 @@ mod tests {
         ];
         let d = run(&rows, &[true, true, true], 2, &cfg());
         assert_eq!(d.len(), 1);
-        assert!((d.points()[0].score - 8.0).abs() < 1e-12);
-        assert!((d.points()[0].probability - 1.0).abs() < 1e-12);
+        assert!((d.point(0).score - 8.0).abs() < 1e-12);
+        assert!((d.point(0).probability - 1.0).abs() < 1e-12);
     }
 }

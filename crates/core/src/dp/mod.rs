@@ -30,11 +30,7 @@
 //!
 //! On a table without mutual exclusion the decomposition degenerates to a
 //! single segment spanning all tuples, i.e. exactly the basic algorithm of
-//! §3.2. The pre-streaming pipeline (materialize the full table, truncate
-//! afterwards) is retained as
-//! [`materialized_topk_score_distribution`] — it is the reference the
-//! streaming path is property-tested against and the baseline the benches
-//! quantify the streaming win with.
+//! §3.2.
 
 pub mod engine;
 
@@ -45,11 +41,12 @@ use std::sync::Mutex;
 
 use ttk_uncertain::{
     CoalescePolicy, Error, Result, ScoreDistribution, TableSource, TupleSource, UncertainTable,
+    VectorWitness,
 };
 
 use crate::scan::{RankScan, ScanPrefix};
-use crate::scan_depth::{scan_depth, ScanGate};
-use engine::{DpRow, EngineConfig};
+use crate::scan_depth::ScanGate;
+use engine::DpRow;
 
 /// How the driver decomposes a table with ME groups into per-ending dynamic
 /// programs.
@@ -145,30 +142,6 @@ pub fn topk_score_distribution_streamed(
     topk_from_prefix(&prefix, k, config, SegmentFanOut::Auto)
 }
 
-/// The pre-streaming pipeline: compute the Theorem-2 depth over the full
-/// materialized table, truncate, then run the dynamic program.
-///
-/// Retained as the reference implementation the streaming path is verified
-/// against (bit-identical outputs) and as the ablation baseline quantifying
-/// what fusing the stopping condition into the scan saves.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] when `k == 0` or the probability
-/// threshold is outside `(0, 1)`.
-pub fn materialized_topk_score_distribution(
-    table: &UncertainTable,
-    k: usize,
-    config: &MainConfig,
-) -> Result<MainOutput> {
-    if k == 0 {
-        return Err(Error::InvalidParameter("k must be at least 1".into()));
-    }
-    let depth = scan_depth(table, k, config.p_tau)?;
-    let working = table.truncate(depth);
-    run_on_prefix_table(&working, depth, k, config, SegmentFanOut::Auto)
-}
-
 /// Runs the per-segment dynamic programs over an already-collected scan
 /// prefix. Shared by the streaming entry points and the batch
 /// [`crate::query::Executor`], which decides where the segments run.
@@ -253,12 +226,6 @@ fn run_on_prefix_table(
         });
     }
 
-    let engine_config = EngineConfig {
-        max_lines: config.max_lines,
-        coalesce_policy: config.coalesce_policy,
-        track_witnesses: config.track_witnesses,
-    };
-
     // A vector's last member sits at position ≥ k-1; segments entirely
     // above that can never host an ending.
     let segments: Vec<Range<usize>> = build_segments(working, config.me_strategy)
@@ -267,7 +234,7 @@ fn run_on_prefix_table(
         .collect();
     let run_segment = |segment: &Range<usize>| {
         let (rows, exits) = build_rows(working, segment.clone());
-        engine::run(&rows, &exits, k, &engine_config)
+        engine::run(&rows, &exits, k, config)
     };
     let workers = fan_out.workers(&segments, k, config.max_lines);
     let merged = run_segments(&segments, workers, &run_segment, InOrderMerge::new(config));
@@ -284,7 +251,7 @@ fn run_on_prefix_table(
 }
 
 /// Folds per-segment partial distributions into the answer strictly in
-/// segment order, with the same `merge_from` + `coalesce` sequence whichever
+/// segment order, with the same merge-and-coalesce sequence whichever
 /// thread computed which segment — so the answer is bit-identical to a
 /// sequential run. A partial that finishes ahead of its predecessors waits
 /// in the reorder buffer `pending`.
@@ -312,7 +279,11 @@ impl InOrderMerge {
     fn push(&mut self, index: usize, partial: ScoreDistribution) {
         self.pending.insert(index, partial);
         while let Some(partial) = self.pending.remove(&self.next) {
-            self.distribution.merge_from(&partial);
+            // Shifting by 0 and scaling by 1 is exact for every score the
+            // engine produces (it never produces -0.0), so this is the plain
+            // union of the lines.
+            self.distribution
+                .merge_shifted_scaled(&partial, 0.0, 1.0, None);
             if self.max_lines > 0 {
                 self.distribution.coalesce(self.max_lines, self.policy);
             }
@@ -456,32 +427,38 @@ fn build_rows(table: &UncertainTable, segment: Range<usize>) -> (Vec<DpRow>, Vec
     (rows, exits)
 }
 
-/// Re-sorts every witness vector into table rank order.
+/// Re-sorts every witness vector into table rank order. Multi-id witnesses
+/// are rebuilt line by line through [`ScoreDistribution::add_mass`], which
+/// also folds a line into an epsilon-equal predecessor and drops a line
+/// without mass.
 fn restore_witness_rank_order(
-    mut distribution: ScoreDistribution,
+    distribution: ScoreDistribution,
     table: &UncertainTable,
 ) -> ScoreDistribution {
     let needs_fix = distribution
         .points()
-        .iter()
-        .any(|p| p.witness.as_ref().is_some_and(|w| w.ids.len() > 1));
+        .any(|p| p.witness.is_some_and(|w| w.ids.len() > 1));
     if !needs_fix {
         return distribution;
     }
     let mut rebuilt = ScoreDistribution::empty();
+    let mut ids = Vec::new();
     for point in distribution.points() {
-        let witness = point.witness.as_ref().map(|w| {
-            let mut ids = w.ids.clone();
-            ids.sort_by_key(|id| table.position(*id).unwrap_or(usize::MAX));
-            ttk_uncertain::VectorWitness {
-                ids,
-                probability: w.probability,
+        let witness = match point.witness {
+            Some(w) => {
+                ids.clear();
+                ids.extend_from_slice(w.ids);
+                ids.sort_by_key(|id| table.position(*id).unwrap_or(usize::MAX));
+                Some(VectorWitness {
+                    ids: &ids,
+                    probability: w.probability,
+                })
             }
-        });
+            None => None,
+        };
         rebuilt.add_mass(point.score, point.probability, witness);
     }
-    std::mem::swap(&mut distribution, &mut rebuilt);
-    distribution
+    rebuilt
 }
 
 #[cfg(test)]
@@ -522,7 +499,7 @@ mod tests {
 
     fn assert_distributions_match(a: &ScoreDistribution, b: &ScoreDistribution) {
         assert_eq!(a.len(), b.len(), "different number of lines:\n{a:?}\n{b:?}");
-        for (pa, pb) in a.points().iter().zip(b.points()) {
+        for (pa, pb) in a.points().zip(b.points()) {
             assert!(
                 (pa.score - pb.score).abs() < 1e-9,
                 "score mismatch {} vs {}",
@@ -561,23 +538,15 @@ mod tests {
         assert!((d.total_probability() - 1.0).abs() < 1e-9);
         assert!((d.expected_score() - 164.1).abs() < 0.05);
         // Pr(top-2 score = 235) = 0.12, witnessed by <T7, T3>.
-        let p = d
-            .points()
-            .iter()
-            .find(|p| (p.score - 235.0).abs() < 1e-9)
-            .unwrap();
+        let p = d.points().find(|p| (p.score - 235.0).abs() < 1e-9).unwrap();
         assert!((p.probability - 0.12).abs() < 1e-9);
-        let w = p.witness.as_ref().unwrap();
-        assert_eq!(w.ids, vec![TupleId(7), TupleId(3)]);
+        let w = p.witness.unwrap();
+        assert_eq!(w.ids, [TupleId(7), TupleId(3)]);
         // Pr(top-2 score = 118) = 0.2, witnessed by <T2, T6> (the U-Top2).
-        let p118 = d
-            .points()
-            .iter()
-            .find(|p| (p.score - 118.0).abs() < 1e-9)
-            .unwrap();
+        let p118 = d.points().find(|p| (p.score - 118.0).abs() < 1e-9).unwrap();
         assert!((p118.probability - 0.2).abs() < 1e-9);
-        let w = p118.witness.as_ref().unwrap();
-        assert_eq!(w.ids, vec![TupleId(2), TupleId(6)]);
+        let w = p118.witness.unwrap();
+        assert_eq!(w.ids, [TupleId(2), TupleId(6)]);
         // Pr(score > 118) = 0.76 (observation 1 in §1).
         assert!((d.mass_above(118.0) - 0.76).abs() < 1e-9);
     }
@@ -711,13 +680,16 @@ mod tests {
                         me_strategy: strategy,
                         ..MainConfig::default()
                     };
-                    let streamed = topk_score_distribution(&table, k, &config).unwrap();
-                    let materialized =
-                        materialized_topk_score_distribution(&table, k, &config).unwrap();
+                    // The streamed answer over the whole table against the
+                    // streamed answer over the table cut at the scan depth.
+                    let full = topk_score_distribution(&table, k, &config).unwrap();
+                    let depth = crate::scan_depth::scan_depth(&table, k, p_tau).unwrap();
+                    let truncated =
+                        topk_score_distribution(&table.truncate(depth), k, &config).unwrap();
                     // PartialEq compares exact f64 values: bit-identical.
-                    assert_eq!(streamed.distribution, materialized.distribution);
-                    assert_eq!(streamed.scan_depth, materialized.scan_depth);
-                    assert_eq!(streamed.segments, materialized.segments);
+                    assert_eq!(full.distribution, truncated.distribution);
+                    assert_eq!(full.scan_depth, truncated.scan_depth);
+                    assert_eq!(full.segments, truncated.segments);
                 }
             }
         }

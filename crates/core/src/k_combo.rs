@@ -11,7 +11,8 @@
 //! reported).
 
 use ttk_uncertain::{
-    Error, Result, ScoreDistribution, TableSource, TupleSource, UncertainTable, VectorWitness,
+    Error, Result, ScoreDistribution, TableSource, TupleId, TupleSource, UncertainTable,
+    VectorWitness,
 };
 
 use crate::scan::RankScan;
@@ -173,14 +174,13 @@ impl Context<'_> {
         if probability <= self.config.p_tau && self.config.p_tau > 0.0 {
             return;
         }
-        let witness = self.config.track_witnesses.then(|| VectorWitness {
-            ids: self
-                .chosen
+        let ids: Option<Vec<TupleId>> = self.config.track_witnesses.then(|| {
+            self.chosen
                 .iter()
                 .map(|&p| self.table.tuple(p).id())
-                .collect(),
-            probability,
+                .collect()
         });
+        let witness = ids.as_deref().map(|ids| VectorWitness { ids, probability });
         self.dist.add_mass(score, probability, witness);
         if self.config.max_lines > 0 {
             self.dist
@@ -234,7 +234,7 @@ mod tests {
             got.distribution,
             exact
         );
-        for (a, b) in got.distribution.points().iter().zip(exact.points()) {
+        for (a, b) in got.distribution.points().zip(exact.points()) {
             assert!((a.score - b.score).abs() < 1e-9);
             assert!(
                 (a.probability - b.probability).abs() < 1e-9,

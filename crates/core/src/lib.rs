@@ -105,8 +105,7 @@ pub use daemon::{
     DaemonOptions, DaemonReport, DrainReason, ShedPolicy,
 };
 pub use dp::{
-    materialized_topk_score_distribution, topk_score_distribution,
-    topk_score_distribution_streamed, MainConfig, MainOutput, MeStrategy,
+    topk_score_distribution, topk_score_distribution_streamed, MainConfig, MainOutput, MeStrategy,
 };
 pub use k_combo::{k_combo, k_combo_streamed};
 pub use live::{AppendLog, AppendOutcome, LiveDataset, LiveSnapshot, SubscriberGuard};

@@ -70,7 +70,7 @@ use ttk_uncertain::wire::{
     self, AdminRequest, AdminVerb, AppendAck, AppendRequest, ClientRequest, Notification,
     QueryRequest, QueryResult, SubscribeRequest, WireTypical, WireUTopk,
 };
-use ttk_uncertain::{CoalescePolicy, Error, Result, ScoreDistribution, SourceTuple};
+use ttk_uncertain::{CoalescePolicy, Error, Result, SourceTuple};
 
 use crate::baselines::UTopkAnswer;
 use crate::query::{Algorithm, QueryAnswer, TopkQuery};
@@ -186,7 +186,7 @@ pub fn answer_to_wire(answer: &QueryAnswer, cache_hit: bool) -> QueryResult {
         distribution_time_ns: answer.distribution_time.as_nanos() as u64,
         typical_time_ns: answer.typical_time.as_nanos() as u64,
         expected_distance: answer.typical.expected_distance,
-        points: answer.distribution.points().to_vec(),
+        distribution: answer.distribution.clone(),
         typical: answer
             .typical
             .answers
@@ -208,13 +208,13 @@ pub fn answer_to_wire(answer: &QueryAnswer, cache_hit: bool) -> QueryResult {
 /// Rebuilds the engine answer a wire result carries, plus the server's
 /// cache outcome.
 ///
-/// The distribution is reconstructed verbatim
-/// ([`ScoreDistribution::from_points`]) — no re-coalescing — so the decoded
-/// answer is bit-identical to what the serving process computed.
+/// The wire decoder rebuilds the distribution verbatim — no re-coalescing —
+/// so the decoded answer is bit-identical to what the serving process
+/// computed.
 pub fn answer_from_wire(result: QueryResult) -> (QueryAnswer, bool) {
     let cache_hit = result.cache_hit;
     let answer = QueryAnswer {
-        distribution: ScoreDistribution::from_points(result.points),
+        distribution: result.distribution,
         typical: TypicalSelection {
             answers: result
                 .typical
@@ -443,9 +443,9 @@ fn no_such_dataset(registry: &DatasetRegistry, name: &str) -> Error {
 /// and a standing subscription must stay silent for it.
 pub fn answer_hash(answer: &QueryAnswer) -> u64 {
     let mut hasher = DefaultHasher::new();
-    for point in answer.distribution.points() {
-        point.score.to_bits().hash(&mut hasher);
-        point.probability.to_bits().hash(&mut hasher);
+    for (score, probability) in answer.distribution.pairs() {
+        score.to_bits().hash(&mut hasher);
+        probability.to_bits().hash(&mut hasher);
     }
     answer.typical.expected_distance.to_bits().hash(&mut hasher);
     for typical in &answer.typical.answers {

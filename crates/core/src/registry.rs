@@ -546,7 +546,7 @@ mod tests {
 
     fn answer(scan_depth: usize) -> Arc<QueryAnswer> {
         Arc::new(QueryAnswer {
-            distribution: ScoreDistribution::from_points(Vec::new()),
+            distribution: ScoreDistribution::empty(),
             typical: TypicalSelection {
                 answers: Vec::new(),
                 expected_distance: 0.0,

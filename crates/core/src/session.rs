@@ -1,9 +1,7 @@
 //! The unified execution API: [`Dataset`] + [`Session`].
 //!
-//! Earlier revisions of this workspace exposed the Theorem-2 scan through
-//! five parallel entry points (`execute`, `execute_source`, `execute_shards`,
-//! `execute_batch`, `execute_batch_sources`), one per physical input shape.
-//! This module replaces them with a single composable pair:
+//! Every physical input runs the Theorem-2 scan through one composable
+//! pair:
 //!
 //! * a [`Dataset`] abstracts **what is scanned** — an in-memory
 //!   [`UncertainTable`], an owned rank-ordered stream, a set of shard
@@ -17,10 +15,6 @@
 //!   optionally with a bounded-result-memory sink) and [`Session::explain`],
 //!   which reports the chosen scan path as a [`PlanDescription`] without
 //!   running anything.
-//!
-//! The legacy entry points remain as thin deprecated wrappers for one
-//! release; property tests assert the new path is bit-identical to each of
-//! them.
 //!
 //! ```
 //! use ttk_core::{Dataset, Session, TopkQuery};
@@ -364,8 +358,7 @@ impl Dataset {
     /// Wraps an owned in-memory table.
     ///
     /// The table is shared behind an [`Arc`]; every open streams it in rank
-    /// order, and U-Topk (when requested) searches the table directly —
-    /// bit-identical to the legacy `execute` entry point.
+    /// order, and U-Topk (when requested) searches the table directly.
     ///
     /// ```
     /// use ttk_core::{Dataset, Session, TopkQuery};
@@ -428,8 +421,7 @@ impl Dataset {
 
     /// Wraps the shard streams of **one partitioned relation** (shared
     /// group-key namespace); opening fuses them under the loser-tree k-way
-    /// merge, bit-identical to the legacy `execute_shards` entry point.
-    /// Single-pass, like [`Dataset::stream`].
+    /// merge. Single-pass, like [`Dataset::stream`].
     ///
     /// ```
     /// use ttk_core::{Dataset, ScanPath, Session, TopkQuery};
@@ -987,8 +979,7 @@ impl Session {
     ///
     /// Table datasets run the direct path (U-Topk, when requested, searches
     /// the table); every other kind opens into a [`ScanHandle`] and streams
-    /// through the Theorem-2 gate. Both are bit-identical to the legacy
-    /// per-shape entry points.
+    /// through the Theorem-2 gate.
     ///
     /// The observed scan depth is recorded per `(dataset, k, pτ)`, so a
     /// later [`Session::explain`] can report the cost model's drift
@@ -1159,9 +1150,8 @@ fn execute_on(
 ///
 /// Sequential when `threads <= 1` or there is at most one job — that path
 /// runs on `seq_executor` so a long-lived caller (the [`Session`]) keeps its
-/// warm scratch buffers. Used by [`Session::execute_batch`] and by the
-/// deprecated legacy batch wrappers, so all batch paths share one scheduling
-/// and delivery implementation.
+/// warm scratch buffers. [`Session::execute_batch`] runs every batch
+/// through it.
 pub(crate) fn fan_out<A, W, S>(
     total: usize,
     threads: usize,

@@ -165,7 +165,7 @@ pub(crate) fn state_expansion_on_prefix(
                         }
                         if s1.count == k {
                             let witness = config.track_witnesses.then(|| VectorWitness {
-                                ids: s1.selected.clone(),
+                                ids: &s1.selected,
                                 probability: s1.probability,
                             });
                             dist.add_mass(s1.score, s1.probability, witness);
@@ -261,7 +261,7 @@ mod tests {
         let exact = exact_topk_score_distribution(table, k, 1 << 22).unwrap();
         let got = state_expansion(table, k, &exact_config()).unwrap();
         assert_eq!(got.distribution.len(), exact.len());
-        for (a, b) in got.distribution.points().iter().zip(exact.points()) {
+        for (a, b) in got.distribution.points().zip(exact.points()) {
             assert!((a.score - b.score).abs() < 1e-9);
             assert!(
                 (a.probability - b.probability).abs() < 1e-9,
@@ -309,11 +309,10 @@ mod tests {
         let w = got
             .distribution
             .points()
-            .iter()
             .find(|p| (p.score - 118.0).abs() < 1e-9)
-            .and_then(|p| p.witness.as_ref())
+            .and_then(|p| p.witness)
             .expect("witness for score 118");
-        assert_eq!(w.ids, vec![TupleId(2), TupleId(6)]);
+        assert_eq!(w.ids, [TupleId(2), TupleId(6)]);
         assert!((w.probability - 0.2).abs() < 1e-9);
     }
 

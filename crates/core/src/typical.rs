@@ -16,7 +16,7 @@
 //! constraint that `s_j` itself is typical. With prefix sums `P`/`PS` every
 //! candidate split is evaluated in O(1).
 
-use ttk_uncertain::{Error, Result, ScoreDistribution, TopkVector};
+use ttk_uncertain::{DistributionPoint, Error, Result, ScoreDistribution, TopkVector};
 
 /// One selected typical answer.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,6 +38,17 @@ pub struct TypicalSelection {
     pub answers: Vec<TypicalAnswer>,
     /// The achieved objective: `E[min_i |S − s_i|]` over the captured mass.
     pub expected_distance: f64,
+}
+
+impl TypicalAnswer {
+    /// The typical answer a distribution line stands for.
+    fn from_point(point: DistributionPoint<'_>) -> Self {
+        TypicalAnswer {
+            score: point.score,
+            probability: point.probability,
+            vector: point.witness.map(|w| w.to_vector(point.score)),
+        }
+    }
 }
 
 impl TypicalSelection {
@@ -77,19 +88,14 @@ pub fn typical_topk(distribution: &ScoreDistribution, c: usize) -> Result<Typica
         ));
     }
     let n = distribution.len();
-    let points = distribution.points();
-    let scores: Vec<f64> = points.iter().map(|p| p.score).collect();
-    let probs: Vec<f64> = points.iter().map(|p| p.probability).collect();
+    let scores = distribution.scores();
+    let probs = distribution.probabilities();
 
     if c >= n {
         // Every support point becomes typical; the objective is zero.
-        let answers = points
-            .iter()
-            .map(|p| TypicalAnswer {
-                score: p.score,
-                probability: p.probability,
-                vector: p.witness.as_ref().map(|w| w.to_vector(p.score)),
-            })
+        let answers = distribution
+            .points()
+            .map(TypicalAnswer::from_point)
             .collect();
         return Ok(TypicalSelection {
             answers,
@@ -188,14 +194,7 @@ pub fn typical_topk(distribution: &ScoreDistribution, c: usize) -> Result<Typica
 
     let answers: Vec<TypicalAnswer> = chosen
         .iter()
-        .map(|&i| TypicalAnswer {
-            score: points[i].score,
-            probability: points[i].probability,
-            vector: points[i]
-                .witness
-                .as_ref()
-                .map(|w| w.to_vector(points[i].score)),
-        })
+        .map(|&i| TypicalAnswer::from_point(distribution.point(i)))
         .collect();
     let expected_distance = f[c][0];
     Ok(TypicalSelection {
@@ -222,7 +221,6 @@ pub fn typical_topk_brute_force(
         ));
     }
     let n = distribution.len();
-    let points = distribution.points();
     let take = c.min(n);
     let mut best: Option<(Vec<usize>, f64)> = None;
 
@@ -235,10 +233,8 @@ pub fn typical_topk_brute_force(
         best: &mut Option<(Vec<usize>, f64)>,
     ) {
         if current.len() == take {
-            let representatives: Vec<f64> = current
-                .iter()
-                .map(|&i| distribution.points()[i].score)
-                .collect();
+            let representatives: Vec<f64> =
+                current.iter().map(|&i| distribution.scores()[i]).collect();
             let cost = distribution.expected_min_distance(&representatives);
             if best.as_ref().is_none_or(|(_, b)| cost < *b - 1e-15) {
                 *best = Some((current.clone(), cost));
@@ -258,14 +254,7 @@ pub fn typical_topk_brute_force(
     let (idx, cost) = best.expect("at least one combination exists");
     let answers = idx
         .iter()
-        .map(|&i| TypicalAnswer {
-            score: points[i].score,
-            probability: points[i].probability,
-            vector: points[i]
-                .witness
-                .as_ref()
-                .map(|w| w.to_vector(points[i].score)),
-        })
+        .map(|&i| TypicalAnswer::from_point(distribution.point(i)))
         .collect();
     Ok(TypicalSelection {
         answers,

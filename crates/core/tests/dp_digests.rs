@@ -25,9 +25,9 @@ fn digest(table: &UncertainTable, k: usize, config: &MainConfig) -> u64 {
     for point in out.distribution.points() {
         eat(point.score.to_bits());
         eat(point.probability.to_bits());
-        match &point.witness {
+        match point.witness {
             Some(w) => {
-                for id in &w.ids {
+                for id in w.ids {
                     eat(id.raw());
                 }
                 eat(w.probability.to_bits());

@@ -4,12 +4,10 @@
 
 use proptest::prelude::*;
 use ttk_core::baselines::{exhaustive_u_topk, u_topk, UTopkConfig};
-use ttk_core::dp::{
-    materialized_topk_score_distribution, topk_score_distribution, MainConfig, MeStrategy,
-};
+use ttk_core::dp::{topk_score_distribution, MainConfig, MeStrategy};
 use ttk_core::state_expansion::NaiveConfig;
 use ttk_core::typical::{typical_topk, typical_topk_brute_force};
-use ttk_core::{k_combo, state_expansion};
+use ttk_core::{k_combo, scan_depth, state_expansion};
 use ttk_uncertain::{
     exact_topk_score_distribution, ScoreDistribution, UncertainTable, UncertainTuple,
 };
@@ -106,7 +104,7 @@ fn assert_close(a: &ScoreDistribution, b: &ScoreDistribution, label: &str) {
         a.len(),
         b.len()
     );
-    for (pa, pb) in a.points().iter().zip(b.points()) {
+    for (pa, pb) in a.points().zip(b.points()) {
         assert!(
             (pa.score - pb.score).abs() < 1e-9,
             "{label}: score {} vs {}",
@@ -227,11 +225,12 @@ proptest! {
         }
     }
 
-    /// The streaming `ScanGate` path produces **bit-identical**
-    /// `ScoreDistribution`s to the old materialize-then-truncate path, on
-    /// small tables (never truncated) and on large ones (genuinely truncated
-    /// mid-stream), across ME groups, score ties, both decomposition
-    /// strategies, and with coalescing both off and on.
+    /// The streaming `ScanGate` path reads nothing past the Theorem-2 depth:
+    /// the answer over the full table is **bit-identical** to the answer
+    /// over the table truncated at `scan_depth`, on small tables (never
+    /// truncated) and on large ones (genuinely truncated mid-stream), across
+    /// ME groups, score ties, both decomposition strategies, and with
+    /// coalescing both off and on.
     #[test]
     fn streaming_path_is_bit_identical_to_materialized(
         small in small_table(),
@@ -248,13 +247,14 @@ proptest! {
                         ..MainConfig::default()
                     };
                     let streamed = topk_score_distribution(table, k, &config).unwrap();
-                    let materialized =
-                        materialized_topk_score_distribution(table, k, &config).unwrap();
+                    let depth = scan_depth(table, k, p_tau).unwrap();
+                    let truncated =
+                        topk_score_distribution(&table.truncate(depth), k, &config).unwrap();
                     // `PartialEq` on distributions compares every score,
                     // probability and witness with exact f64 equality.
-                    prop_assert_eq!(&streamed.distribution, &materialized.distribution);
-                    prop_assert_eq!(streamed.scan_depth, materialized.scan_depth);
-                    prop_assert_eq!(streamed.segments, materialized.segments);
+                    prop_assert_eq!(&streamed.distribution, &truncated.distribution);
+                    prop_assert_eq!(streamed.scan_depth, truncated.scan_depth);
+                    prop_assert_eq!(streamed.segments, truncated.segments);
                 }
             }
         }

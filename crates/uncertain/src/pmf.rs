@@ -3,9 +3,12 @@
 //! The complete answer to a top-k query on uncertain data is a joint
 //! distribution over k-tuple vectors; the paper's proposal is to expose the
 //! induced distribution over *total scores* (a one-dimensional PMF), plus one
-//! witness vector per score. [`ScoreDistribution`] is that object. It also
-//! implements the *line coalescing* approximation of §3.2.1 that keeps
-//! intermediate and final distributions at a bounded number of points.
+//! witness vector per score. [`ScoreDistribution`] is that object. It is also
+//! the dynamic program's working cell: it carries the merge steps of §3.2 and
+//! the *line coalescing* approximation of §3.2.1 that keeps intermediate and
+//! final distributions at a bounded number of points.
+
+use std::ops::Range;
 
 use crate::tuple::TupleId;
 use crate::vector::TopkVector;
@@ -34,42 +37,65 @@ pub enum CoalescePolicy {
     WeightedMean,
 }
 
-/// The most probable top-k vector attaining a given total score.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VectorWitness {
+/// The most probable top-k vector attaining one score line, borrowed from
+/// the witness columns of a [`ScoreDistribution`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VectorWitness<'a> {
     /// Tuple ids of the witness vector in rank order.
-    pub ids: Vec<TupleId>,
+    pub ids: &'a [TupleId],
     /// Probability that this exact vector is the top-k vector.
     pub probability: f64,
 }
 
-impl VectorWitness {
-    /// An empty witness (used as the seed of dynamic programs).
-    pub fn empty() -> Self {
-        VectorWitness {
-            ids: Vec::new(),
-            probability: 1.0,
-        }
-    }
-
+impl VectorWitness<'_> {
     /// Converts the witness into a full [`TopkVector`] given its total score.
     pub fn to_vector(&self, total_score: f64) -> TopkVector {
-        TopkVector::new(self.ids.clone(), total_score, self.probability)
+        TopkVector::new(self.ids.to_vec(), total_score, self.probability)
     }
 }
 
-/// One vertical line of the PMF: a total score, the probability that the
-/// top-k vector has that total score, and optionally the most probable
-/// vector attaining it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistributionPoint {
+/// One vertical line of the PMF, borrowed from a [`ScoreDistribution`]: a
+/// total score, the probability that the top-k vector has that total score,
+/// and the most probable vector attaining it when witnesses are tracked.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DistributionPoint<'a> {
     /// Total score of the top-k vector.
     pub score: f64,
     /// Probability mass at this score.
     pub probability: f64,
     /// Most probable single vector attaining this score, when tracked.
-    pub witness: Option<VectorWitness>,
+    pub witness: Option<VectorWitness<'a>>,
 }
+
+/// The lines of a [`ScoreDistribution`] in ascending score order (see
+/// [`ScoreDistribution::points`]).
+#[derive(Debug, Clone)]
+pub struct Points<'a> {
+    distribution: &'a ScoreDistribution,
+    lines: Range<usize>,
+}
+
+impl<'a> Iterator for Points<'a> {
+    type Item = DistributionPoint<'a>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.lines.next().map(|line| self.distribution.point(line))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.lines.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for Points<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        self.lines
+            .next_back()
+            .map(|line| self.distribution.point(line))
+    }
+}
+
+impl ExactSizeIterator for Points<'_> {}
 
 /// A histogram view of a [`ScoreDistribution`] at a caller-chosen bucket
 /// width (usage (1) of §2.2: "an application can access the distribution at
@@ -96,46 +122,90 @@ impl Histogram {
     }
 }
 
-/// A discrete probability distribution over top-k total scores.
+/// A discrete probability distribution over top-k total scores, with the
+/// most probable witness vector of every score line.
 ///
-/// Points are kept sorted by score. The distribution is *not* required to sum
+/// Lines are kept sorted by score. The distribution is *not* required to sum
 /// to one: pruning thresholds (pτ), possible worlds with fewer than `k`
 /// tuples, and line coalescing all legitimately leave the captured mass
 /// slightly below one. Use [`total_probability`](Self::total_probability) to
 /// inspect the captured mass and [`normalize`](Self::normalize) to rescale.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// The lines are stored as parallel columns: scores, probabilities, witness
+/// probabilities, and the witness ids of all lines back to back at a fixed
+/// stride (every line of a DP cell D_{i,j} carries exactly `j` ids). The
+/// recurrence of §3.2 touches millions of cells, and the columns keep its
+/// two inner-loop operations cheap:
+///
+/// * [`scale_in_place`](Self::scale_in_place) multiplies the probability
+///   columns in place — a branch-free pass over contiguous `f64`s the
+///   compiler auto-vectorizes, with no allocation at all;
+/// * [`merge_shifted_scaled`](Self::merge_shifted_scaled) fuses steps (2) and
+///   (3) of §3.2 into one sorted-union pass that computes shifted scores and
+///   scaled probabilities on the fly and copies a witness's ids only for
+///   lines that actually survive the merge;
+/// * [`coalesce`](Self::coalesce) scans for the closest pair over the
+///   contiguous score column.
+///
+/// Extending, keeping or moving a witness is a slice copy; no line owns an
+/// allocation. Consumers read lines through [`points`](Self::points), which
+/// lends out [`DistributionPoint`] views, or through the
+/// [`scores`](Self::scores) and [`probabilities`](Self::probabilities)
+/// columns.
+///
+/// Witness tracking is all-or-nothing: either no line carries a witness, or
+/// every line carries one and all have the same length. Adding a line of the
+/// other shape panics (see [`add_mass`](Self::add_mass) and
+/// [`merge_shifted_scaled`](Self::merge_shifted_scaled)).
+///
+/// ```
+/// use ttk_uncertain::ScoreDistribution;
+///
+/// // D = 0.3 · unit  ∪  (unit shifted by 5.0, scaled by 0.7)
+/// let unit = ScoreDistribution::unit(false);
+/// let mut d = unit.clone();
+/// d.scale_in_place(0.3);
+/// d.merge_shifted_scaled(&unit, 5.0, 0.7, None);
+/// assert_eq!(d.pairs().collect::<Vec<_>>(), vec![(0.0, 0.3), (5.0, 0.7)]);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScoreDistribution {
-    points: Vec<DistributionPoint>,
+    /// Total scores, ascending.
+    scores: Vec<f64>,
+    /// Probability mass per score line (parallel to `scores`).
+    probs: Vec<f64>,
+    /// Witness probability per score line: parallel to `scores` when
+    /// witnesses are tracked, empty otherwise.
+    witness_probs: Vec<f64>,
+    /// The witness ids of every line back to back, `stride` per line.
+    witness_ids: Vec<TupleId>,
+    /// Ids per witness (the `j` of the cell); zero when untracked, so equal
+    /// lines always compare equal.
+    stride: usize,
 }
 
 impl ScoreDistribution {
     /// The empty distribution (no mass). Merging it into another distribution
     /// is a no-op; it is also the "blocked exit point" of §3.3.2.
     pub fn empty() -> Self {
-        ScoreDistribution { points: Vec::new() }
+        ScoreDistribution::default()
     }
 
-    /// The unit distribution: score 0 with probability 1 and an empty witness
-    /// vector. This is the "enabled exit point" / auxiliary column-0 cell of
-    /// the dynamic program (§3.2).
-    pub fn unit() -> Self {
+    /// The unit distribution: score 0 with probability 1. This is the
+    /// "enabled exit point" / auxiliary column-0 cell of the dynamic program
+    /// (§3.2). With `track_witnesses` the single line carries an empty
+    /// witness vector for the recurrence to extend.
+    pub fn unit(track_witnesses: bool) -> Self {
         ScoreDistribution {
-            points: vec![DistributionPoint {
-                score: 0.0,
-                probability: 1.0,
-                witness: Some(VectorWitness::empty()),
-            }],
-        }
-    }
-
-    /// A distribution with a single point.
-    pub fn singleton(score: f64, probability: f64, witness: Option<VectorWitness>) -> Self {
-        ScoreDistribution {
-            points: vec![DistributionPoint {
-                score,
-                probability,
-                witness,
-            }],
+            scores: vec![0.0],
+            probs: vec![1.0],
+            witness_probs: if track_witnesses {
+                vec![1.0]
+            } else {
+                Vec::new()
+            },
+            witness_ids: Vec::new(),
+            stride: 0,
         }
     }
 
@@ -148,152 +218,161 @@ impl ScoreDistribution {
         d
     }
 
-    /// Reconstructs a distribution from score lines produced by
-    /// [`points`](Self::points) elsewhere (the wire codec) — **verbatim**, no
-    /// sorting and no coalescing, so the reconstruction is bit-identical to
-    /// the original. The caller asserts the points are in ascending score
-    /// order; routing arbitrary lines through [`add_mass`](Self::add_mass)
-    /// instead keeps the ordering invariant but may merge epsilon-close
-    /// scores, which is exactly what a bit-exact transport must not do.
-    pub fn from_points(points: Vec<DistributionPoint>) -> Self {
-        ScoreDistribution { points }
-    }
-
     /// Number of distinct score lines.
     #[inline]
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.scores.len()
     }
 
     /// True when the distribution carries no mass.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.scores.is_empty()
     }
 
     /// The score lines in ascending score order.
+    pub fn points(&self) -> Points<'_> {
+        Points {
+            distribution: self,
+            lines: 0..self.len(),
+        }
+    }
+
+    /// Line `line` (0-based, in ascending score order).
+    ///
+    /// # Panics
+    ///
+    /// When `line >= self.len()`.
+    pub fn point(&self, line: usize) -> DistributionPoint<'_> {
+        DistributionPoint {
+            score: self.scores[line],
+            probability: self.probs[line],
+            witness: self.tracked().then(|| VectorWitness {
+                ids: self.witness(line),
+                probability: self.witness_probs[line],
+            }),
+        }
+    }
+
+    /// The score column, ascending.
     #[inline]
-    pub fn points(&self) -> &[DistributionPoint] {
-        &self.points
+    pub fn scores(&self) -> &[f64] {
+        &self.scores
+    }
+
+    /// The probability column, parallel to [`scores`](Self::scores).
+    #[inline]
+    pub fn probabilities(&self) -> &[f64] {
+        &self.probs
     }
 
     /// Iterates over `(score, probability)` pairs in ascending score order.
     pub fn pairs(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.points.iter().map(|p| (p.score, p.probability))
+        self.scores.iter().copied().zip(self.probs.iter().copied())
+    }
+
+    /// True when the lines carry witnesses.
+    #[inline]
+    fn tracked(&self) -> bool {
+        !self.witness_probs.is_empty()
+    }
+
+    /// The witness ids of line `line`.
+    #[inline]
+    fn witness(&self, line: usize) -> &[TupleId] {
+        &self.witness_ids[line * self.stride..(line + 1) * self.stride]
+    }
+
+    /// True when a line carrying `witness` has the shape of the lines held:
+    /// witnessed exactly when they are, with as many ids. An empty
+    /// distribution takes either shape.
+    fn fits(&self, witness: Option<VectorWitness<'_>>) -> bool {
+        self.is_empty()
+            || match witness {
+                None => !self.tracked(),
+                Some(w) => self.tracked() && w.ids.len() == self.stride,
+            }
+    }
+
+    /// Inserts a new line before line `at`, with no neighbour merging. The
+    /// caller has checked [`fits`](Self::fits).
+    fn insert_line(
+        &mut self,
+        at: usize,
+        score: f64,
+        probability: f64,
+        witness: Option<VectorWitness<'_>>,
+    ) {
+        if self.is_empty() {
+            self.stride = witness.map_or(0, |w| w.ids.len());
+        }
+        self.scores.insert(at, score);
+        self.probs.insert(at, probability);
+        if let Some(w) = witness {
+            self.witness_probs.insert(at, w.probability);
+            let s = self.stride;
+            self.witness_ids
+                .splice(at * s..at * s, w.ids.iter().copied());
+        }
+        self.debug_assert_shape();
+    }
+
+    /// Replaces the witness of line `line` when `candidate` is strictly more
+    /// probable.
+    fn offer_witness(&mut self, line: usize, candidate: Option<VectorWitness<'_>>) {
+        if let Some(c) = candidate {
+            if c.probability > self.witness_probs[line] {
+                self.witness_probs[line] = c.probability;
+                let s = self.stride;
+                self.witness_ids[line * s..(line + 1) * s].copy_from_slice(c.ids);
+            }
+        }
     }
 
     /// Adds probability mass at a score, merging with an existing line when
     /// the scores are equal (keeping the more probable witness).
-    pub fn add_mass(&mut self, score: f64, probability: f64, witness: Option<VectorWitness>) {
+    ///
+    /// # Panics
+    ///
+    /// When the distribution is not empty and `witness` has another shape
+    /// than its lines: absent where they carry witnesses, present where they
+    /// do not, or of another length.
+    pub fn add_mass(&mut self, score: f64, probability: f64, witness: Option<VectorWitness<'_>>) {
         if probability <= 0.0 {
             return;
         }
-        match self.points.binary_search_by(|p| p.score.total_cmp(&score)) {
-            Ok(i) => {
-                self.points[i].probability += probability;
-                Self::keep_better_witness(&mut self.points[i].witness, witness);
-            }
-            Err(i) => {
-                // Check the neighbours for epsilon-equality before inserting.
-                if i > 0 && scores_equal(self.points[i - 1].score, score) {
-                    self.points[i - 1].probability += probability;
-                    Self::keep_better_witness(&mut self.points[i - 1].witness, witness);
-                } else if i < self.points.len() && scores_equal(self.points[i].score, score) {
-                    self.points[i].probability += probability;
-                    Self::keep_better_witness(&mut self.points[i].witness, witness);
-                } else {
-                    self.points.insert(
-                        i,
-                        DistributionPoint {
-                            score,
-                            probability,
-                            witness,
-                        },
-                    );
-                }
-            }
-        }
+        assert!(
+            self.fits(witness),
+            "adding a line whose witness shape differs from the distribution's"
+        );
+        let line = match self.scores.binary_search_by(|s| s.total_cmp(&score)) {
+            Ok(i) => i,
+            // Check the neighbours for epsilon-equality before inserting.
+            Err(i) if i > 0 && scores_equal(self.scores[i - 1], score) => i - 1,
+            Err(i) if i < self.len() && scores_equal(self.scores[i], score) => i,
+            Err(i) => return self.insert_line(i, score, probability, witness),
+        };
+        self.probs[line] += probability;
+        self.offer_witness(line, witness);
     }
 
-    fn keep_better_witness(slot: &mut Option<VectorWitness>, candidate: Option<VectorWitness>) {
-        match (slot.as_ref(), candidate) {
-            (_, None) => {}
-            (None, Some(c)) => *slot = Some(c),
-            (Some(cur), Some(c)) => {
-                if c.probability > cur.probability {
-                    *slot = Some(c);
-                }
-            }
+    /// Appends `point` above every line held, verbatim: no merging with an
+    /// epsilon-close neighbour and no coalescing, so a distribution rebuilt
+    /// line by line from [`points`](Self::points) (the wire codec) is
+    /// bit-identical to the original. The caller asserts ascending score
+    /// order. Returns false, appending nothing, when the point's witness
+    /// shape differs from the lines held.
+    pub(crate) fn push_point(&mut self, point: DistributionPoint<'_>) -> bool {
+        if !self.fits(point.witness) {
+            return false;
         }
-    }
-
-    /// Returns a copy with every score shifted by `delta` and every
-    /// probability (point and witness) multiplied by `factor`; `prepend`, when
-    /// given, is pushed onto the front of every witness vector.
-    ///
-    /// This is exactly step (2) of the distribution merging process of §3.2
-    /// (and, with `delta = 0`, `prepend = None`, step (1)).
-    pub fn shifted_scaled(&self, delta: f64, factor: f64, prepend: Option<TupleId>) -> Self {
-        if factor <= 0.0 {
-            return ScoreDistribution::empty();
-        }
-        let points = self
-            .points
-            .iter()
-            .map(|p| DistributionPoint {
-                score: p.score + delta,
-                probability: p.probability * factor,
-                witness: p.witness.as_ref().map(|w| {
-                    let mut ids = Vec::with_capacity(w.ids.len() + usize::from(prepend.is_some()));
-                    if let Some(id) = prepend {
-                        ids.push(id);
-                    }
-                    ids.extend_from_slice(&w.ids);
-                    VectorWitness {
-                        ids,
-                        probability: w.probability * factor,
-                    }
-                }),
-            })
-            .collect();
-        ScoreDistribution { points }
-    }
-
-    /// Merges another distribution into this one (step (3) of §3.2): the
-    /// union of the lines, with equal scores combined by summing their
-    /// probabilities and keeping the more probable witness.
-    pub fn merge_from(&mut self, other: &ScoreDistribution) {
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.points.len() + other.points.len());
-        let mut a = std::mem::take(&mut self.points).into_iter().peekable();
-        let mut b = other.points.iter().cloned().peekable();
-        while let (Some(pa), Some(pb)) = (a.peek(), b.peek()) {
-            if scores_equal(pa.score, pb.score) {
-                let mut pa = a.next().unwrap();
-                let pb = b.next().unwrap();
-                pa.probability += pb.probability;
-                Self::keep_better_witness(&mut pa.witness, pb.witness);
-                merged.push(pa);
-            } else if pa.score < pb.score {
-                merged.push(a.next().unwrap());
-            } else {
-                merged.push(b.next().unwrap());
-            }
-        }
-        merged.extend(a);
-        merged.extend(b);
-        self.points = merged;
+        self.insert_line(self.len(), point.score, point.probability, point.witness);
+        true
     }
 
     /// Total probability mass captured by the distribution.
     pub fn total_probability(&self) -> f64 {
-        self.points.iter().map(|p| p.probability).sum()
+        self.probs.iter().sum()
     }
 
     /// Rescales the distribution so it sums to one. No-op on empty
@@ -301,27 +380,30 @@ impl ScoreDistribution {
     pub fn normalize(&mut self) {
         let total = self.total_probability();
         if total > 0.0 {
-            for p in &mut self.points {
-                p.probability /= total;
+            for p in &mut self.probs {
+                *p /= total;
             }
         }
     }
 
     /// Smallest score carrying mass.
     pub fn min_score(&self) -> Option<f64> {
-        self.points.first().map(|p| p.score)
+        self.scores.first().copied()
     }
 
     /// Largest score carrying mass.
     pub fn max_score(&self) -> Option<f64> {
-        self.points.last().map(|p| p.score)
+        self.scores.last().copied()
     }
 
-    /// The score with the largest probability mass (the mode).
-    pub fn mode(&self) -> Option<&DistributionPoint> {
-        self.points
+    /// The line with the largest probability mass (the mode).
+    pub fn mode(&self) -> Option<DistributionPoint<'_>> {
+        let (line, _) = self
+            .probs
             .iter()
-            .max_by(|a, b| a.probability.total_cmp(&b.probability))
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))?;
+        Some(self.point(line))
     }
 
     /// Expected total score, conditioned on the captured mass.
@@ -330,11 +412,7 @@ impl ScoreDistribution {
         if total <= 0.0 {
             return 0.0;
         }
-        self.points
-            .iter()
-            .map(|p| p.score * p.probability)
-            .sum::<f64>()
-            / total
+        self.pairs().map(|(s, p)| s * p).sum::<f64>() / total
     }
 
     /// Variance of the total score, conditioned on the captured mass.
@@ -344,9 +422,8 @@ impl ScoreDistribution {
             return 0.0;
         }
         let mean = self.expected_score();
-        self.points
-            .iter()
-            .map(|p| (p.score - mean).powi(2) * p.probability)
+        self.pairs()
+            .map(|(s, p)| (s - mean).powi(2) * p)
             .sum::<f64>()
             / total
     }
@@ -358,10 +435,9 @@ impl ScoreDistribution {
 
     /// Probability that the total score is at most `x` (unnormalized CDF).
     pub fn cdf(&self, x: f64) -> f64 {
-        self.points
-            .iter()
-            .take_while(|p| p.score <= x)
-            .map(|p| p.probability)
+        self.pairs()
+            .take_while(|&(s, _)| s <= x)
+            .map(|(_, p)| p)
             .sum()
     }
 
@@ -374,10 +450,10 @@ impl ScoreDistribution {
         let q = q.clamp(0.0, 1.0);
         let total = self.total_probability();
         let mut acc = 0.0;
-        for p in &self.points {
-            acc += p.probability;
+        for (s, p) in self.pairs() {
+            acc += p;
             if acc / total >= q - 1e-12 {
-                return Some(p.score);
+                return Some(s);
             }
         }
         self.max_score()
@@ -385,11 +461,12 @@ impl ScoreDistribution {
 
     /// Probability mass with a score strictly greater than `x`.
     pub fn mass_above(&self, x: f64) -> f64 {
-        self.points
+        self.scores
             .iter()
+            .zip(&self.probs)
             .rev()
-            .take_while(|p| p.score > x)
-            .map(|p| p.probability)
+            .take_while(|&(&s, _)| s > x)
+            .map(|(_, &p)| p)
             .sum()
     }
 
@@ -403,12 +480,9 @@ impl ScoreDistribution {
         let hi = self.max_score()?;
         let n = (((hi - lo) / bucket_width).floor() as usize) + 1;
         let mut buckets = vec![0.0; n];
-        for p in &self.points {
-            let mut idx = ((p.score - lo) / bucket_width).floor() as usize;
-            if idx >= n {
-                idx = n - 1;
-            }
-            buckets[idx] += p.probability;
+        for (s, p) in self.pairs() {
+            let idx = (((s - lo) / bucket_width).floor() as usize).min(n - 1);
+            buckets[idx] += p;
         }
         Some(Histogram {
             start: lo,
@@ -425,14 +499,13 @@ impl ScoreDistribution {
         if representatives.is_empty() {
             return f64::INFINITY;
         }
-        self.points
-            .iter()
-            .map(|p| {
+        self.pairs()
+            .map(|(s, p)| {
                 let d = representatives
                     .iter()
-                    .map(|r| (p.score - r).abs())
+                    .map(|r| (s - r).abs())
                     .fold(f64::INFINITY, f64::min);
-                d * p.probability
+                d * p
             })
             .sum()
     }
@@ -452,12 +525,7 @@ impl ScoreDistribution {
         let ta = self.total_probability();
         let tb = other.total_probability();
         // Walk the union of the supports accumulating |CDF_a - CDF_b|.
-        let mut grid: Vec<f64> = self
-            .points
-            .iter()
-            .map(|p| p.score)
-            .chain(other.points.iter().map(|p| p.score))
-            .collect();
+        let mut grid: Vec<f64> = self.scores.iter().chain(&other.scores).copied().collect();
         grid.sort_by(|a, b| a.total_cmp(b));
         grid.dedup_by(|a, b| scores_equal(*a, *b));
         let mut ia = 0;
@@ -467,12 +535,12 @@ impl ScoreDistribution {
         let mut dist = 0.0;
         for w in grid.windows(2) {
             let (x0, x1) = (w[0], w[1]);
-            while ia < self.points.len() && self.points[ia].score <= x0 + 1e-15 {
-                cdf_a += self.points[ia].probability / ta;
+            while ia < self.len() && self.scores[ia] <= x0 + 1e-15 {
+                cdf_a += self.probs[ia] / ta;
                 ia += 1;
             }
-            while ib < other.points.len() && other.points[ib].score <= x0 + 1e-15 {
-                cdf_b += other.points[ib].probability / tb;
+            while ib < other.len() && other.scores[ib] <= x0 + 1e-15 {
+                cdf_b += other.probs[ib] / tb;
                 ib += 1;
             }
             dist += (cdf_a - cdf_b).abs() * (x1 - x0);
@@ -480,232 +548,53 @@ impl ScoreDistribution {
         dist
     }
 
-    /// Coalesces lines until at most `max_lines` remain (§3.2.1): repeatedly
-    /// merge the two closest-in-score neighbouring lines. Under
-    /// [`CoalescePolicy::PaperMean`] the merged score is the plain average of
-    /// the two (the paper's rule); under
-    /// [`CoalescePolicy::WeightedMean`] it is the probability-weighted
-    /// average. In both cases probabilities add and the more probable witness
-    /// is kept.
-    pub fn coalesce(&mut self, max_lines: usize, policy: CoalescePolicy) {
-        if max_lines == 0 || self.points.len() <= max_lines {
-            return;
-        }
-        // The number of merges needed is small in steady state (the DP calls
-        // this after every merge step), so a scan-for-minimum loop is
-        // adequate and allocation free.
-        while self.points.len() > max_lines {
-            let mut best = 0;
-            let mut best_gap = f64::INFINITY;
-            for i in 0..self.points.len() - 1 {
-                let gap = self.points[i + 1].score - self.points[i].score;
-                if gap < best_gap {
-                    best_gap = gap;
-                    best = i;
-                }
-            }
-            let right = self.points.remove(best + 1);
-            let left = &mut self.points[best];
-            let merged_prob = left.probability + right.probability;
-            left.score = match policy {
-                CoalescePolicy::PaperMean => (left.score + right.score) / 2.0,
-                CoalescePolicy::WeightedMean => {
-                    (left.score * left.probability + right.score * right.probability) / merged_prob
-                }
-            };
-            left.probability = merged_prob;
-            Self::keep_better_witness(&mut left.witness, right.witness);
-        }
-    }
-
-    /// Returns the witness vectors as full [`TopkVector`]s, one per line that
-    /// has a witness, in ascending score order.
+    /// Returns the witness vectors as full [`TopkVector`]s, one per line when
+    /// witnesses are tracked (none otherwise), in ascending score order.
     pub fn witness_vectors(&self) -> Vec<TopkVector> {
-        self.points
-            .iter()
-            .filter_map(|p| p.witness.as_ref().map(|w| w.to_vector(p.score)))
+        self.points()
+            .filter_map(|p| p.witness.map(|w| w.to_vector(p.score)))
             .collect()
     }
 
-    /// The point whose score is closest to `score`.
-    pub fn nearest_point(&self, score: f64) -> Option<&DistributionPoint> {
-        self.points
+    /// The line whose score is closest to `score`.
+    pub fn nearest_point(&self, score: f64) -> Option<DistributionPoint<'_>> {
+        let (line, _) = self
+            .scores
             .iter()
-            .min_by(|a, b| (a.score - score).abs().total_cmp(&(b.score - score).abs()))
-    }
-}
-
-/// A columnar (structure-of-arrays) working set for the dynamic program's
-/// inner loop: scores, probabilities and witnesses held in parallel columns
-/// instead of a `Vec` of [`DistributionPoint`]s.
-///
-/// The array-of-structs layout of [`ScoreDistribution`] is the right shape
-/// for consumers — every point carries its witness — but the recurrence of
-/// §3.2 touches millions of cells, and there the layout is hostile: the
-/// exclude branch clones every point (witness vectors included) just to scale
-/// the probabilities, and the include branch materializes a shifted/scaled
-/// copy that the subsequent merge immediately tears apart again. The columnar
-/// form fixes both:
-///
-/// * [`scale_in_place`](Self::scale_in_place) multiplies the probability
-///   columns in place — a branch-free pass over contiguous `f64`s the
-///   compiler auto-vectorizes, with no allocation at all;
-/// * [`merge_shifted_scaled`](Self::merge_shifted_scaled) fuses steps (2) and
-///   (3) of §3.2 into one sorted-union pass that computes shifted scores and
-///   scaled probabilities on the fly and copies a witness's ids only for
-///   lines that actually survive the merge;
-/// * [`coalesce`](Self::coalesce) scans for the closest pair over the
-///   contiguous score column instead of striding through 40-byte points.
-///
-/// Witnesses are flat columns too. Every line of a DP cell D_{i,j} carries
-/// exactly `j` ids, so the ids of all lines sit back to back in one
-/// `Vec<TupleId>` at a fixed stride, beside a witness-probability column.
-/// Extending, keeping or moving a witness is a slice copy; no line owns an
-/// allocation. [`into_distribution`](Self::into_distribution) builds one
-/// [`VectorWitness`] per surviving line, once, at the end.
-///
-/// Every operation performs the floating-point arithmetic in exactly the
-/// order of the equivalent [`ScoreDistribution`] calls
-/// ([`shifted_scaled`](ScoreDistribution::shifted_scaled) followed by
-/// [`merge_from`](ScoreDistribution::merge_from), and
-/// [`coalesce`](ScoreDistribution::coalesce)), so results are bit-identical
-/// to the scalar path — no reassociation, no fused multiply-adds.
-///
-/// Witness tracking is all-or-nothing: the witness columns are either empty
-/// (witnesses disabled) or hold one witness per score line, all of the same
-/// length. Mixing a tracked operand with an untracked one is unsupported
-/// (debug-asserted); merging witnesses of another length into a non-empty
-/// set panics (see [`merge_shifted_scaled`](Self::merge_shifted_scaled)).
-///
-/// ```
-/// use ttk_uncertain::ScoreColumns;
-///
-/// // D = 0.3 · unit  ∪  (unit shifted by 5.0, scaled by 0.7)
-/// let unit = ScoreColumns::unit(false);
-/// let mut d = unit.clone();
-/// d.scale_in_place(0.3);
-/// d.merge_shifted_scaled(&unit, 5.0, 0.7, None);
-/// let dist = d.into_distribution();
-/// assert_eq!(dist.pairs().collect::<Vec<_>>(), vec![(0.0, 0.3), (5.0, 0.7)]);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ScoreColumns {
-    /// Total scores, ascending.
-    scores: Vec<f64>,
-    /// Probability mass per score line (parallel to `scores`).
-    probs: Vec<f64>,
-    /// Witness probability per score line: parallel to `scores` when
-    /// witnesses are tracked, empty otherwise.
-    witness_probs: Vec<f64>,
-    /// The witness ids of every line back to back, `stride` per line.
-    witness_ids: Vec<TupleId>,
-    /// Ids per witness (the `j` of the cell).
-    stride: usize,
-}
-
-/// One candidate pair in the coalescing heap: the gap between line `left`
-/// and its right neighbour at the time the entry was pushed. Ordered by
-/// `(gap, left)` so the heap pops exactly the pair the scan-for-minimum loop
-/// would pick (leftmost on equal gaps); `stamp` detects stale entries.
-#[derive(Debug, PartialEq)]
-struct GapEntry {
-    gap: f64,
-    left: u32,
-    stamp: u32,
-}
-
-impl Eq for GapEntry {}
-
-impl PartialOrd for GapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for GapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.gap
-            .total_cmp(&other.gap)
-            .then(self.left.cmp(&other.left))
-            .then(self.stamp.cmp(&other.stamp))
-    }
-}
-
-impl ScoreColumns {
-    /// The empty working set (no mass) — the engine's initial cell value and
-    /// the "blocked exit point" of §3.3.2.
-    pub fn empty() -> Self {
-        ScoreColumns::default()
-    }
-
-    /// The unit distribution (score 0, probability 1): the enabled exit point
-    /// of the dynamic program. With `track_witnesses` the single line carries
-    /// an empty witness vector for the recurrence to extend.
-    pub fn unit(track_witnesses: bool) -> Self {
-        ScoreColumns {
-            scores: vec![0.0],
-            probs: vec![1.0],
-            witness_probs: if track_witnesses {
-                vec![1.0]
-            } else {
-                Vec::new()
-            },
-            witness_ids: Vec::new(),
-            stride: 0,
-        }
-    }
-
-    /// Number of score lines.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.scores.len()
-    }
-
-    /// True when the working set carries no mass.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
+            .enumerate()
+            .min_by(|a, b| (a.1 - score).abs().total_cmp(&(b.1 - score).abs()))?;
+        Some(self.point(line))
     }
 
     /// Drops every line, keeping the allocated capacity.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.scores.clear();
         self.probs.clear();
         self.witness_probs.clear();
         self.witness_ids.clear();
+        self.stride = 0;
     }
 
-    /// True when the lines carry witnesses.
-    #[inline]
-    fn tracked(&self) -> bool {
-        !self.witness_probs.is_empty()
-    }
-
-    /// The witness ids of line `line`.
-    #[inline]
-    fn witness(&self, line: usize) -> &[TupleId] {
-        &self.witness_ids[line * self.stride..(line + 1) * self.stride]
-    }
-
-    /// Checks the column invariants: parallel columns, and one witness of
-    /// `stride` ids per line when tracked.
+    /// Checks the column invariants: parallel columns, one witness of
+    /// `stride` ids per line when tracked, and a zero stride otherwise.
     #[inline]
     fn debug_assert_shape(&self) {
         debug_assert_eq!(self.scores.len(), self.probs.len());
         debug_assert!(self.witness_probs.is_empty() || self.witness_probs.len() == self.len());
+        debug_assert!(self.tracked() || self.stride == 0);
         debug_assert_eq!(
             self.witness_ids.len(),
             self.witness_probs.len() * self.stride,
-            "every witness of one cell has the same length"
+            "every witness of one distribution has the same length"
         );
     }
 
     /// Scales every probability (line and witness) by `factor` in place — the
-    /// exclude branch of the recurrence. Equivalent to
-    /// [`ScoreDistribution::shifted_scaled`]`(0.0, factor, None)` including
-    /// its `score + 0.0` normalization of negative zeros, but with no
+    /// exclude branch of the recurrence (step (1) of §3.2) — with no
     /// allocation: the probability columns are multiplied in branch-free
-    /// passes over contiguous `f64`s. A non-positive `factor` empties the set.
+    /// passes over contiguous `f64`s, and every score gets `+ 0.0`, which
+    /// turns a negative zero positive. A non-positive `factor` empties the
+    /// distribution.
     pub fn scale_in_place(&mut self, factor: f64) {
         if factor <= 0.0 {
             self.clear();
@@ -727,22 +616,23 @@ impl ScoreColumns {
     /// include branch of the recurrence, i.e. steps (2) and (3) of §3.2 fused
     /// into a single sorted-union pass.
     ///
-    /// Bit-identical to `self.merge_from(&below.shifted_scaled(delta, factor,
-    /// prepend))` on the equivalent [`ScoreDistribution`]s: shifted scores
-    /// and scaled probabilities are computed on the fly in the same order,
-    /// equal lines (under [`scores_equal`]) sum as `self + below` and keep
-    /// the strictly more probable witness. The difference is purely
-    /// mechanical — no intermediate shifted copy exists, and a `below`
-    /// witness's ids are only copied for lines that survive the merge.
+    /// Shifted scores and scaled probabilities are computed on the fly; no
+    /// intermediate shifted copy exists, and a `below` witness's ids are only
+    /// copied for lines that survive the merge. Lines with equal scores
+    /// (under [`scores_equal`]) keep `self`'s score, sum their probabilities
+    /// as `self + below`, and keep `below`'s witness only when it is strictly
+    /// more probable. Merging into an empty distribution copies `below`,
+    /// shifted and scaled; a non-positive `factor` merges nothing.
     ///
     /// # Panics
     ///
-    /// When both sets are non-empty and tracked, and `below`'s witnesses
-    /// (one id longer with `prepend`) differ in length from `self`'s: all
-    /// witnesses of one set share one length.
+    /// When both distributions are non-empty and only one carries
+    /// witnesses, or `below`'s witnesses (one id longer with `prepend`)
+    /// differ in length from `self`'s: all witnesses of one distribution
+    /// share one length.
     pub fn merge_shifted_scaled(
         &mut self,
-        below: &ScoreColumns,
+        below: &ScoreDistribution,
         delta: f64,
         factor: f64,
         prepend: Option<TupleId>,
@@ -752,7 +642,7 @@ impl ScoreColumns {
         }
         let tracked = below.tracked();
         let stride = below.stride + usize::from(prepend.is_some());
-        debug_assert!(
+        assert!(
             self.is_empty() || self.tracked() == tracked,
             "mixing witness-tracked and untracked operands"
         );
@@ -764,7 +654,7 @@ impl ScoreColumns {
         if self.is_empty() {
             self.scores.extend(below.scores.iter().map(|s| s + delta));
             self.probs.extend(below.probs.iter().map(|p| p * factor));
-            self.stride = stride;
+            self.stride = if tracked { stride } else { 0 };
             if tracked {
                 self.witness_probs
                     .extend(below.witness_probs.iter().map(|p| p * factor));
@@ -852,12 +742,17 @@ impl ScoreColumns {
         self.debug_assert_shape();
     }
 
-    /// Coalesces lines until at most `max_lines` remain — the columnar
-    /// equivalent of [`ScoreDistribution::coalesce`], merging the same pairs
-    /// in the same order with the same arithmetic (bit-identical results).
+    /// Coalesces lines until at most `max_lines` remain (§3.2.1): repeatedly
+    /// merge the two closest-in-score neighbouring lines, the leftmost pair
+    /// on equal gaps. Under [`CoalescePolicy::PaperMean`] the merged score
+    /// is the plain average of the two (the paper's rule); under
+    /// [`CoalescePolicy::WeightedMean`] it is the probability-weighted
+    /// average. In both cases probabilities add and the strictly more
+    /// probable witness replaces the left one. `max_lines == 0` keeps every
+    /// line.
     ///
     /// Two implementations with identical output are dispatched on size. For
-    /// a handful of merges the scalar rescan-after-every-merge loop wins: the
+    /// a handful of merges the rescan-after-every-merge loop wins: the
     /// scan is a branch-light pass over the contiguous score column and
     /// allocates nothing. Past the crossover the lazy min-heap version takes
     /// over, dropping the cost from O((n − max)·n) to O(n log n) — the
@@ -1026,24 +921,33 @@ impl ScoreColumns {
             self.witness_ids.truncate(keep * self.stride);
         }
     }
+}
 
-    /// Converts the working set into the consumer-facing
-    /// [`ScoreDistribution`] (witnesses attached when tracked, `None`
-    /// otherwise), consuming the columns. This is the one place a
-    /// [`VectorWitness`] is allocated per line.
-    pub fn into_distribution(self) -> ScoreDistribution {
-        let tracked = self.tracked();
-        let points = (0..self.len())
-            .map(|line| DistributionPoint {
-                score: self.scores[line],
-                probability: self.probs[line],
-                witness: tracked.then(|| VectorWitness {
-                    ids: self.witness(line).to_vec(),
-                    probability: self.witness_probs[line],
-                }),
-            })
-            .collect();
-        ScoreDistribution { points }
+/// One candidate pair in the coalescing heap: the gap between line `left`
+/// and its right neighbour at the time the entry was pushed. Ordered by
+/// `(gap, left)` so the heap pops exactly the pair the scan-for-minimum loop
+/// would pick (leftmost on equal gaps); `stamp` detects stale entries.
+#[derive(Debug, PartialEq)]
+struct GapEntry {
+    gap: f64,
+    left: u32,
+    stamp: u32,
+}
+
+impl Eq for GapEntry {}
+
+impl PartialOrd for GapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for GapEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.gap
+            .total_cmp(&other.gap)
+            .then(self.left.cmp(&other.left))
+            .then(self.stamp.cmp(&other.stamp))
     }
 }
 
@@ -1055,14 +959,50 @@ mod tests {
         ScoreDistribution::from_pairs(pairs.iter().copied())
     }
 
+    fn ids(raw: &[u64]) -> Vec<TupleId> {
+        raw.iter().map(|&id| TupleId(id)).collect()
+    }
+
+    /// Lines `(score, probability, witness ids, witness probability)`,
+    /// appended verbatim.
+    fn witnessed(lines: &[(f64, f64, &[u64], f64)]) -> ScoreDistribution {
+        let mut d = ScoreDistribution::empty();
+        for &(score, probability, raw, witness_probability) in lines {
+            let ids = ids(raw);
+            assert!(d.push_point(DistributionPoint {
+                score,
+                probability,
+                witness: Some(VectorWitness {
+                    ids: &ids,
+                    probability: witness_probability,
+                }),
+            }));
+        }
+        d
+    }
+
+    /// Every line as `(score, probability, witness ids, witness
+    /// probability)`, for exact comparisons.
+    fn lines(d: &ScoreDistribution) -> Vec<(f64, f64, Vec<TupleId>, f64)> {
+        d.points()
+            .map(|p| {
+                let w = p.witness.expect("witnessed line");
+                (p.score, p.probability, w.ids.to_vec(), w.probability)
+            })
+            .collect()
+    }
+
     #[test]
     fn unit_and_empty() {
         assert!(ScoreDistribution::empty().is_empty());
-        let u = ScoreDistribution::unit();
+        let u = ScoreDistribution::unit(true);
         assert_eq!(u.len(), 1);
         assert_eq!(u.total_probability(), 1.0);
-        assert_eq!(u.points()[0].score, 0.0);
-        assert!(u.points()[0].witness.is_some());
+        assert_eq!(u.point(0).score, 0.0);
+        assert_eq!(u.point(0).witness.unwrap().ids, &[] as &[TupleId]);
+        let untracked = ScoreDistribution::unit(false);
+        assert_eq!(untracked, dist(&[(0.0, 1.0)]));
+        assert!(untracked.point(0).witness.is_none());
     }
 
     #[test]
@@ -1081,11 +1021,12 @@ mod tests {
     #[test]
     fn add_mass_keeps_more_probable_witness() {
         let mut d = ScoreDistribution::empty();
+        let (first, second) = (ids(&[1]), ids(&[2]));
         d.add_mass(
             5.0,
             0.2,
             Some(VectorWitness {
-                ids: vec![TupleId(1)],
+                ids: &first,
                 probability: 0.2,
             }),
         );
@@ -1093,44 +1034,57 @@ mod tests {
             5.0,
             0.3,
             Some(VectorWitness {
-                ids: vec![TupleId(2)],
+                ids: &second,
                 probability: 0.3,
             }),
         );
-        let w = d.points()[0].witness.as_ref().unwrap();
-        assert_eq!(w.ids, vec![TupleId(2)]);
-        assert!((d.points()[0].probability - 0.5).abs() < 1e-12);
+        let w = d.point(0).witness.unwrap();
+        assert_eq!(w.ids, second);
+        assert!((d.point(0).probability - 0.5).abs() < 1e-12);
+        // A new line between existing ones keeps every witness in place.
+        d.add_mass(
+            1.0,
+            0.1,
+            Some(VectorWitness {
+                ids: &first,
+                probability: 0.1,
+            }),
+        );
+        assert_eq!(
+            lines(&d),
+            vec![(1.0, 0.1, first, 0.1), (5.0, 0.5, second, 0.3)]
+        );
     }
 
     #[test]
-    fn shifted_scaled_applies_delta_factor_and_prepend() {
-        let base = ScoreDistribution::unit();
-        let d = base.shifted_scaled(7.0, 0.4, Some(TupleId(3)));
+    #[should_panic(expected = "witness shape")]
+    fn add_mass_rejects_a_witness_of_another_shape() {
+        let mut d = witnessed(&[(1.0, 0.5, &[1, 2], 0.5)]);
+        d.add_mass(2.0, 0.5, None);
+    }
+
+    #[test]
+    fn push_point_refuses_another_witness_shape() {
+        let mut d = witnessed(&[(1.0, 0.5, &[1, 2], 0.5)]);
+        let (short, long) = (ids(&[3]), ids(&[3, 4]));
+        fn point(ids: Option<&[TupleId]>) -> DistributionPoint<'_> {
+            DistributionPoint {
+                score: 2.0,
+                probability: 0.25,
+                witness: ids.map(|ids| VectorWitness {
+                    ids,
+                    probability: 0.25,
+                }),
+            }
+        }
+        assert!(!d.push_point(point(None)));
+        assert!(!d.push_point(point(Some(&short))));
         assert_eq!(d.len(), 1);
-        assert!((d.points()[0].score - 7.0).abs() < 1e-12);
-        assert!((d.points()[0].probability - 0.4).abs() < 1e-12);
-        let w = d.points()[0].witness.as_ref().unwrap();
-        assert_eq!(w.ids, vec![TupleId(3)]);
-        assert!((w.probability - 0.4).abs() < 1e-12);
-        // Scaling by zero empties the distribution.
-        assert!(base.shifted_scaled(1.0, 0.0, None).is_empty());
-    }
-
-    #[test]
-    fn merge_from_unions_and_sums() {
-        let mut a = dist(&[(1.0, 0.1), (3.0, 0.2)]);
-        let b = dist(&[(2.0, 0.3), (3.0, 0.1)]);
-        a.merge_from(&b);
-        assert_eq!(a.len(), 3);
-        assert!((a.total_probability() - 0.7).abs() < 1e-12);
-        let probs: Vec<f64> = a.pairs().map(|(_, p)| p).collect();
-        assert!((probs[2] - 0.3).abs() < 1e-12); // 0.2 + 0.1 at score 3
-                                                 // Merging an empty distribution is a no-op; merging into empty copies.
-        let mut e = ScoreDistribution::empty();
-        e.merge_from(&a);
-        assert_eq!(e.len(), 3);
-        a.merge_from(&ScoreDistribution::empty());
-        assert_eq!(a.len(), 3);
+        assert!(d.push_point(point(Some(&long))));
+        assert_eq!(d.len(), 2);
+        let mut untracked = dist(&[(1.0, 0.5)]);
+        assert!(!untracked.push_point(point(Some(&long))));
+        assert!(untracked.push_point(point(None)));
     }
 
     #[test]
@@ -1194,17 +1148,35 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert!((d.total_probability() - 1.0).abs() < 1e-12);
         // The two closest lines (1.0 and 1.1) merged to their plain average.
-        assert!((d.points()[0].score - 1.05).abs() < 1e-12);
+        assert!((d.point(0).score - 1.05).abs() < 1e-12);
 
         let mut d = dist(&[(0.0, 0.9), (1.0, 0.1), (100.0, 0.5)]);
         d.coalesce(2, CoalescePolicy::WeightedMean);
         assert_eq!(d.len(), 2);
-        assert!((d.points()[0].score - 0.1).abs() < 1e-12);
+        assert!((d.point(0).score - 0.1).abs() < 1e-12);
 
         // max_lines = 0 disables coalescing.
         let mut d = dist(&[(1.0, 0.5), (2.0, 0.5)]);
         d.coalesce(0, CoalescePolicy::PaperMean);
         assert_eq!(d.len(), 2);
+    }
+
+    #[test]
+    fn coalesce_keeps_the_strictly_more_probable_witness() {
+        let mut d = witnessed(&[
+            (1.0, 0.25, &[1], 0.25),
+            (1.5, 0.5, &[2], 0.5),
+            (4.0, 0.25, &[3], 0.5),
+        ]);
+        // 1.0 and 1.5 are closest; the right witness is more probable.
+        d.coalesce(2, CoalescePolicy::PaperMean);
+        assert_eq!(
+            lines(&d),
+            vec![(1.25, 0.75, ids(&[2]), 0.5), (4.0, 0.25, ids(&[3]), 0.5)]
+        );
+        // An equally probable right witness does not replace the left one.
+        d.coalesce(1, CoalescePolicy::PaperMean);
+        assert_eq!(lines(&d), vec![(2.625, 1.0, ids(&[2]), 0.5)]);
     }
 
     #[test]
@@ -1233,218 +1205,201 @@ mod tests {
 
     #[test]
     fn nearest_point_and_witness_vectors() {
-        let mut d = ScoreDistribution::empty();
-        d.add_mass(
-            5.0,
-            0.5,
-            Some(VectorWitness {
-                ids: vec![TupleId(1), TupleId(2)],
-                probability: 0.4,
-            }),
-        );
-        d.add_mass(9.0, 0.5, None);
+        let d = witnessed(&[(5.0, 0.5, &[1, 2], 0.4), (9.0, 0.5, &[3, 4], 0.5)]);
         assert_eq!(d.nearest_point(6.0).unwrap().score, 5.0);
         assert_eq!(d.nearest_point(8.0).unwrap().score, 9.0);
         let vs = d.witness_vectors();
-        assert_eq!(vs.len(), 1);
+        assert_eq!(vs.len(), 2);
         assert_eq!(vs[0].total_score(), 5.0);
-        assert_eq!(vs[0].ids().len(), 2);
-    }
-
-    /// Converts a distribution whose points either all carry witnesses of
-    /// one length or none do into the columnar form (test-only seam:
-    /// production code builds columns through `unit`/`merge_shifted_scaled`).
-    fn columns_of(d: &ScoreDistribution) -> ScoreColumns {
-        let tracked = d.points().iter().all(|p| p.witness.is_some()) && !d.is_empty();
-        let witnesses: Vec<&VectorWitness> = if tracked {
-            d.points()
-                .iter()
-                .filter_map(|p| p.witness.as_ref())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let stride = witnesses.first().map_or(0, |w| w.ids.len());
-        assert!(witnesses.iter().all(|w| w.ids.len() == stride));
-        ScoreColumns {
-            scores: d.points().iter().map(|p| p.score).collect(),
-            probs: d.points().iter().map(|p| p.probability).collect(),
-            witness_probs: witnesses.iter().map(|w| w.probability).collect(),
-            witness_ids: witnesses
-                .iter()
-                .flat_map(|w| w.ids.iter().copied())
-                .collect(),
-            stride,
-        }
-    }
-
-    /// Lines with `width`-id witnesses; ids are derived from `seed` so two
-    /// fixtures never share one.
-    fn witnessed_wide(pairs: &[(f64, f64)], seed: u64, width: u64) -> ScoreDistribution {
-        let points = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &(score, probability))| DistributionPoint {
-                score,
-                probability,
-                witness: Some(VectorWitness {
-                    ids: (0..width)
-                        .map(|w| TupleId(seed + 100 * w + i as u64))
-                        .collect(),
-                    probability: probability * 0.9,
-                }),
-            })
-            .collect();
-        ScoreDistribution::from_points(points)
-    }
-
-    fn witnessed(pairs: &[(f64, f64)], seed: u64) -> ScoreDistribution {
-        witnessed_wide(pairs, seed, 2)
+        assert_eq!(vs[0].ids(), &ids(&[1, 2])[..]);
+        assert!(dist(&[(1.0, 1.0)]).witness_vectors().is_empty());
     }
 
     #[test]
-    fn columns_scale_matches_shifted_scaled_bit_exactly() {
-        let base = witnessed(&[(-0.0, 0.25), (1.5, 0.5), (8.0, 0.125)], 7);
-        for factor in [0.3, 1.0, 0.0, -1.0] {
-            let scalar = base.shifted_scaled(0.0, factor, None);
-            let mut cols = columns_of(&base);
-            cols.scale_in_place(factor);
-            // PartialEq compares exact f64 bits — including the `-0.0 + 0.0`
-            // normalization of the score column.
-            assert_eq!(cols.into_distribution(), scalar, "factor {factor}");
-        }
-    }
-
-    #[test]
-    fn columns_merge_matches_shift_then_merge_bit_exactly() {
-        // Scores engineered so the union hits every branch: strictly
-        // interleaved lines, epsilon-equal lines (witness comparison both
-        // ways), and tails on both sides. As in a DP cell, every line of the
-        // result carries witnesses of one length: the accumulator's are one
-        // id longer than `below`'s exactly when an id is prepended.
-        let pairs = [(1.0, 0.2), (4.0, 0.4), (9.0, 0.1), (12.0, 0.05)];
-        let below = witnessed(
-            &[(0.5, 0.3), (2.0 + 1e-13, 0.9), (7.0, 0.6), (20.0, 0.01)],
-            50,
+    fn scale_in_place_scales_both_probability_columns() {
+        let base = witnessed(&[(-0.0, 0.5, &[1], 0.25), (2.0, 0.25, &[2], 0.125)]);
+        let mut d = base.clone();
+        d.scale_in_place(0.5);
+        assert_eq!(
+            lines(&d),
+            vec![
+                (0.0, 0.25, ids(&[1]), 0.125),
+                (2.0, 0.125, ids(&[2]), 0.0625)
+            ]
         );
-        for (delta, factor, prepend) in [
-            (2.0, 0.7, Some(TupleId(999))),
-            (0.0, 1.0, None),
-            (-3.0, 0.001, Some(TupleId(5))),
-        ] {
-            let acc = witnessed_wide(&pairs, 1, 2 + u64::from(prepend.is_some()));
-            let mut scalar = acc.clone();
-            scalar.merge_from(&below.shifted_scaled(delta, factor, prepend));
-            let mut cols = columns_of(&acc);
-            cols.merge_shifted_scaled(&columns_of(&below), delta, factor, prepend);
-            assert_eq!(cols.into_distribution(), scalar, "delta {delta}");
+        // `-0.0 + 0.0` is `+0.0`.
+        assert_eq!(d.point(0).score.to_bits(), 0.0f64.to_bits());
+        // A non-positive factor empties the distribution, shape included.
+        for factor in [0.0, -1.0] {
+            let mut d = base.clone();
+            d.scale_in_place(factor);
+            assert_eq!(d, ScoreDistribution::empty());
         }
-        // Merging into an empty accumulator reproduces the clone path.
-        let mut scalar = ScoreDistribution::empty();
-        scalar.merge_from(&below.shifted_scaled(1.0, 0.5, Some(TupleId(3))));
-        let mut cols = ScoreColumns::empty();
-        cols.merge_shifted_scaled(&columns_of(&below), 1.0, 0.5, Some(TupleId(3)));
-        assert_eq!(cols.into_distribution(), scalar);
-        // A non-positive factor is a no-op, like merging an emptied shift.
-        let acc = witnessed(&pairs, 1);
-        let mut cols = columns_of(&acc);
-        cols.merge_shifted_scaled(&columns_of(&below), 1.0, 0.0, None);
-        assert_eq!(cols.into_distribution(), acc);
+    }
+
+    #[test]
+    fn merge_sums_equal_scores_as_self_plus_below_and_keeps_witnesses() {
+        let mut acc = witnessed(&[
+            (3.0, 0.25, &[1, 2], 0.25),
+            (6.0, 0.125, &[3, 4], 0.0625),
+            (10.0, 0.5, &[5, 6], 0.5),
+        ]);
+        let below = witnessed(&[
+            (1.0, 0.5, &[7], 0.5),
+            (4.0, 0.5, &[8], 0.25),
+            (5.0, 0.25, &[10], 0.25),
+        ]);
+        // Shifted by 2 and halved, `below` lands on 3, 6 and 7 with witness
+        // probabilities 0.25, 0.125 and 0.125.
+        acc.merge_shifted_scaled(&below, 2.0, 0.5, Some(TupleId(9)));
+        assert_eq!(
+            lines(&acc),
+            vec![
+                // A tie keeps `self`'s witness.
+                (3.0, 0.5, ids(&[1, 2]), 0.25),
+                // The strictly more probable `below` witness wins.
+                (6.0, 0.375, ids(&[9, 8]), 0.125),
+                (7.0, 0.125, ids(&[9, 10]), 0.125),
+                (10.0, 0.5, ids(&[5, 6]), 0.5),
+            ]
+        );
+
+        // Equal lines keep `self`'s score and add `below` onto `self` one
+        // merge at a time: ((1 + ε) + ε) rounds to 1, (1 + (ε + ε)) does not.
+        let tiny = f64::EPSILON * 0.5;
+        let mut acc = dist(&[(2.0, 1.0)]);
+        let below = dist(&[(2.0 + 1e-13, tiny)]);
+        acc.merge_shifted_scaled(&below, 0.0, 1.0, None);
+        acc.merge_shifted_scaled(&below, 0.0, 1.0, None);
+        assert_eq!(
+            acc.pairs().collect::<Vec<_>>(),
+            vec![(2.0, (1.0 + tiny) + tiny)]
+        );
+        assert_ne!((1.0 + tiny) + tiny, 1.0 + (tiny + tiny));
+    }
+
+    #[test]
+    fn columns_merge_without_witnesses() {
+        let mut acc = dist(&[(1.0, 0.25), (4.0, 0.5)]);
+        let below = dist(&[(0.5, 0.5), (4.0, 0.25), (6.0, 0.125)]);
+        acc.merge_shifted_scaled(&below, 0.0, 0.5, None);
+        assert_eq!(
+            acc.pairs().collect::<Vec<_>>(),
+            vec![(0.5, 0.25), (1.0, 0.25), (4.0, 0.625), (6.0, 0.0625)]
+        );
+        assert!(acc.points().all(|p| p.witness.is_none()));
+    }
+
+    #[test]
+    fn merge_from_unions_and_sums() {
+        let mut a = dist(&[(1.0, 0.1), (3.0, 0.2)]);
+        let b = dist(&[(2.0, 0.3), (3.0, 0.1)]);
+        a.merge_shifted_scaled(&b, 0.0, 1.0, None);
+        assert_eq!(a.len(), 3);
+        assert!((a.total_probability() - 0.7).abs() < 1e-12);
+        let probs: Vec<f64> = a.pairs().map(|(_, p)| p).collect();
+        assert!((probs[2] - 0.3).abs() < 1e-12); // 0.2 + 0.1 at score 3
+
+        // Merging an empty distribution is a no-op; merging into empty copies.
+        let mut e = ScoreDistribution::empty();
+        e.merge_shifted_scaled(&a, 0.0, 1.0, None);
+        assert_eq!(e, a);
+        a.merge_shifted_scaled(&ScoreDistribution::empty(), 0.0, 1.0, None);
+        assert_eq!(a.len(), 3);
+    }
+
+    #[test]
+    fn merge_into_empty_shifts_scales_and_prepends() {
+        let mut d = ScoreDistribution::empty();
+        d.merge_shifted_scaled(&ScoreDistribution::unit(true), 7.0, 0.5, Some(TupleId(3)));
+        assert_eq!(lines(&d), vec![(7.0, 0.5, ids(&[3]), 0.5)]);
+        // Untracked operands stay untracked.
+        let mut d = ScoreDistribution::empty();
+        d.merge_shifted_scaled(&ScoreDistribution::unit(false), 7.0, 0.5, None);
+        assert_eq!(d, dist(&[(7.0, 0.5)]));
+    }
+
+    #[test]
+    fn merge_with_a_non_positive_factor_is_a_no_op() {
+        let acc = witnessed(&[(1.0, 0.5, &[1, 2], 0.5)]);
+        let below = witnessed(&[(2.0, 0.5, &[3], 0.5)]);
+        for factor in [0.0, -1.0] {
+            let mut d = acc.clone();
+            d.merge_shifted_scaled(&below, 1.0, factor, Some(TupleId(9)));
+            assert_eq!(d, acc);
+            let mut d = ScoreDistribution::empty();
+            d.merge_shifted_scaled(&below, 1.0, factor, Some(TupleId(9)));
+            assert!(d.is_empty());
+        }
     }
 
     #[test]
     #[should_panic(expected = "merging witnesses of 3 ids into a cell of 2-id witnesses")]
     fn columns_merge_rejects_witnesses_of_another_length() {
-        let mut cols = columns_of(&witnessed(&[(1.0, 0.5)], 1));
-        let below = columns_of(&witnessed(&[(2.0, 0.5)], 50));
-        cols.merge_shifted_scaled(&below, 1.0, 0.5, Some(TupleId(9)));
-    }
-
-    #[test]
-    fn columns_merge_without_witnesses() {
-        let acc = dist(&[(1.0, 0.2), (4.0, 0.4)]);
-        let below = dist(&[(0.5, 0.3), (4.0, 0.25)]);
-        let mut scalar = acc.clone();
-        scalar.merge_from(&below.shifted_scaled(0.0, 0.5, None));
-        let mut cols = columns_of(&acc);
-        cols.merge_shifted_scaled(&columns_of(&below), 0.0, 0.5, None);
-        assert_eq!(cols.into_distribution(), scalar);
-    }
-
-    #[test]
-    fn columns_coalesce_matches_distribution_coalesce_bit_exactly() {
-        let base = witnessed(
-            &[
-                (1.0, 0.1),
-                (1.4, 0.3),
-                (2.0, 0.2),
-                (5.0, 0.15),
-                (5.3, 0.05),
-                (9.0, 0.2),
-            ],
-            11,
-        );
-        for policy in [CoalescePolicy::PaperMean, CoalescePolicy::WeightedMean] {
-            for max_lines in [4, 2, 1] {
-                let mut scalar = base.clone();
-                scalar.coalesce(max_lines, policy);
-                let mut cols = columns_of(&base);
-                cols.coalesce(max_lines, policy);
-                assert_eq!(
-                    cols.into_distribution(),
-                    scalar,
-                    "policy {policy:?} max_lines {max_lines}"
-                );
-            }
-        }
+        let mut acc = witnessed(&[(1.0, 0.5, &[1, 2], 0.5)]);
+        let below = witnessed(&[(2.0, 0.5, &[3, 4], 0.5)]);
+        acc.merge_shifted_scaled(&below, 1.0, 0.5, Some(TupleId(9)));
     }
 
     #[test]
     fn columns_coalesce_heap_matches_scan_on_many_lines() {
         // A few hundred lines with deliberately repeated gap values, so the
-        // heap's (gap, position) tie-break is exercised against the scalar
-        // scan's leftmost-strictly-smaller rule at every merge.
+        // heap's (gap, position) tie-break is exercised against the scan's
+        // leftmost-strictly-smaller rule at every merge.
         let mut x = 0u64;
         let mut score = 0.0;
-        let pairs: Vec<(f64, f64)> = (0..300)
-            .map(|_| {
-                // Deterministic xorshift; gaps drawn from a small set of
-                // discrete values to force plenty of exact ties.
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                score += [0.5, 1.0, 1.0, 2.0, 0.25][(x % 5) as usize];
-                (score, 0.001 + (x % 997) as f64 / 1000.0)
-            })
-            .collect();
-        let base = witnessed(&pairs, 1000);
+        let mut base = ScoreDistribution::empty();
+        for line in 0..300u64 {
+            // Deterministic xorshift; gaps drawn from a small set of
+            // discrete values to force plenty of exact ties.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            score += [0.5, 1.0, 1.0, 2.0, 0.25][(x % 5) as usize];
+            let probability = 0.001 + (x % 997) as f64 / 1000.0;
+            let ids = ids(&[line, 1000 + line]);
+            assert!(base.push_point(DistributionPoint {
+                score,
+                probability,
+                witness: Some(VectorWitness {
+                    ids: &ids,
+                    probability: probability * ((x >> 8) % 10) as f64 / 10.0,
+                }),
+            }));
+        }
         for policy in [CoalescePolicy::PaperMean, CoalescePolicy::WeightedMean] {
             for max_lines in [200, 64, 7] {
-                let mut scalar = base.clone();
-                scalar.coalesce(max_lines, policy);
-                let mut cols = columns_of(&base);
-                cols.coalesce(max_lines, policy);
-                assert_eq!(
-                    cols.into_distribution(),
-                    scalar,
-                    "policy {policy:?} max_lines {max_lines}"
-                );
+                let mut scan = base.clone();
+                scan.coalesce_scan(max_lines, policy);
+                let mut heap = base.clone();
+                heap.coalesce_heap(max_lines, policy);
+                assert_eq!(heap, scan, "policy {policy:?} max_lines {max_lines}");
+                assert_eq!(heap.len(), max_lines);
+                // The dispatching entry point picks one of the two.
+                let mut dispatched = base.clone();
+                dispatched.coalesce(max_lines, policy);
+                assert_eq!(dispatched, scan, "policy {policy:?} max_lines {max_lines}");
             }
         }
     }
 
     #[test]
     fn columns_unit_round_trips() {
+        // The unit cell survives an identity merge (no shift, factor 1, no
+        // prepend) into an empty cell, witnessed or not.
+        for track in [true, false] {
+            let unit = ScoreDistribution::unit(track);
+            let mut copy = ScoreDistribution::empty();
+            copy.merge_shifted_scaled(&unit, 0.0, 1.0, None);
+            assert_eq!(copy, unit);
+        }
+        assert_eq!(ScoreDistribution::unit(false), dist(&[(0.0, 1.0)]));
         assert_eq!(
-            ScoreColumns::unit(true).into_distribution(),
-            ScoreDistribution::unit()
+            lines(&ScoreDistribution::unit(true)),
+            vec![(0.0, 1.0, Vec::new(), 1.0)]
         );
-        assert_eq!(
-            ScoreColumns::unit(false).into_distribution(),
-            ScoreDistribution::singleton(0.0, 1.0, None)
-        );
-        assert!(ScoreColumns::empty().is_empty());
-        assert_eq!(ScoreColumns::unit(true).len(), 1);
+        assert!(ScoreDistribution::empty().is_empty());
+        assert_eq!(ScoreDistribution::unit(true).len(), 1);
     }
 }

@@ -85,7 +85,7 @@ use std::fmt;
 use std::io::{Read, Write};
 
 use crate::error::{Error, Result};
-use crate::pmf::{DistributionPoint, VectorWitness};
+use crate::pmf::{DistributionPoint, ScoreDistribution, VectorWitness};
 use crate::source::{GroupKey, SourceTuple, TupleBlock, TupleSource};
 use crate::tuple::{TupleId, UncertainTuple};
 use crate::vector::TopkVector;
@@ -639,8 +639,8 @@ pub struct QueryResult {
     pub typical_time_ns: u64,
     /// Expected distance of the typical-answer selection.
     pub expected_distance: f64,
-    /// The full score distribution, in ascending score order.
-    pub points: Vec<DistributionPoint>,
+    /// The full score distribution.
+    pub distribution: ScoreDistribution,
     /// The typical answers.
     pub typical: Vec<WireTypical>,
     /// The U-Top-k baseline answer, when the request asked for it.
@@ -756,39 +756,51 @@ fn pop_vector(cursor: &mut FrameCursor<'_>) -> Result<TopkVector> {
     Ok(TopkVector::new(pop_ids(cursor)?, total_score, probability))
 }
 
-fn push_point(body: &mut Vec<u8>, point: &DistributionPoint) -> Result<()> {
+fn push_point(body: &mut Vec<u8>, point: DistributionPoint<'_>) -> Result<()> {
     body.extend_from_slice(&point.score.to_bits().to_le_bytes());
     body.extend_from_slice(&point.probability.to_bits().to_le_bytes());
-    match &point.witness {
+    match point.witness {
         None => body.push(0),
         Some(witness) => {
             body.push(1);
             body.extend_from_slice(&witness.probability.to_bits().to_le_bytes());
-            push_ids(body, &witness.ids)?;
+            push_ids(body, witness.ids)?;
         }
     }
     Ok(())
 }
 
-fn pop_point(cursor: &mut FrameCursor<'_>) -> Result<DistributionPoint> {
+/// Decodes one distribution line and appends it to `distribution`. Every
+/// line of one result carries a witness or none does, and all witnesses
+/// have one length: a line of another shape is corrupt.
+fn pop_point(cursor: &mut FrameCursor<'_>, distribution: &mut ScoreDistribution) -> Result<()> {
     let score = cursor.f64()?;
     let probability = cursor.f64()?;
     let witness = match cursor.u8()? {
         0 => None,
         1 => {
             let probability = cursor.f64()?;
-            Some(VectorWitness {
-                ids: pop_ids(cursor)?,
-                probability,
-            })
+            Some((pop_ids(cursor)?, probability))
         }
         _ => return Err(cursor.corrupt()),
     };
-    Ok(DistributionPoint {
+    let point = DistributionPoint {
         score,
         probability,
-        witness,
-    })
+        witness: witness.as_ref().map(|(ids, probability)| VectorWitness {
+            ids,
+            probability: *probability,
+        }),
+    };
+    if distribution.push_point(point) {
+        Ok(())
+    } else {
+        Err(Error::Source(
+            "corrupt wire result chunk frame: distribution lines disagree on witness \
+             presence or length"
+                .into(),
+        ))
+    }
 }
 
 /// Bytes of a result-chunk frame spent on kind + point count.
@@ -830,7 +842,7 @@ pub fn write_query_result(writer: &mut impl Write, result: &QueryResult) -> Resu
     body.extend_from_slice(&result.scan_depth.to_le_bytes());
     body.extend_from_slice(&result.distribution_time_ns.to_le_bytes());
     body.extend_from_slice(&result.typical_time_ns.to_le_bytes());
-    body.extend_from_slice(&(result.points.len() as u64).to_le_bytes());
+    body.extend_from_slice(&(result.distribution.len() as u64).to_le_bytes());
     body.extend_from_slice(&result.expected_distance.to_bits().to_le_bytes());
     if result.typical.len() > u16::MAX as usize {
         return Err(Error::Source(format!(
@@ -871,7 +883,7 @@ pub fn write_query_result(writer: &mut impl Write, result: &QueryResult) -> Resu
 
     let mut chunk = new_chunk();
     let mut in_chunk: u16 = 0;
-    for point in &result.points {
+    for point in result.distribution.points() {
         let mut encoded = Vec::with_capacity(32);
         push_point(&mut encoded, point)?;
         if CHUNK_HEADER + encoded.len() > MAX_FRAME_BODY {
@@ -899,9 +911,10 @@ pub fn write_query_result(writer: &mut impl Write, result: &QueryResult) -> Resu
 /// # Errors
 ///
 /// [`Error::Source`] on I/O failure, a malformed frame, a header of another
-/// protocol version, a point count that does not match the header's
-/// announcement, or a server-side failure (an error frame in place of the
-/// header or mid-stream).
+/// protocol version, distribution lines that mix witnessed and unwitnessed
+/// lines or witnesses of different lengths, a point count that does not
+/// match the header's announcement, or a server-side failure (an error frame
+/// in place of the header or mid-stream).
 pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
     let remote_failed = |body: &[u8]| {
         Error::Source(format!(
@@ -968,9 +981,9 @@ pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
     let compacted_epoch = cursor.u64()?;
     cursor.finish()?;
 
-    // The announced count sizes the allocation only up to a clamp — the
-    // actual frames, not the header, decide how much memory is committed.
-    let mut points = Vec::with_capacity((point_count as usize).min(4096));
+    // The columns grow with the frames actually received, never with the
+    // header's announcement.
+    let mut distribution = ScoreDistribution::empty();
     loop {
         let body = read_frame_from(reader)?;
         match body.first() {
@@ -978,7 +991,7 @@ pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
                 let mut cursor = FrameCursor::new(&body, 1, "result chunk");
                 let count = cursor.u16()?;
                 for _ in 0..count {
-                    points.push(pop_point(&mut cursor)?);
+                    pop_point(&mut cursor, &mut distribution)?;
                 }
                 cursor.finish()?;
             }
@@ -988,10 +1001,10 @@ pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
             None => return Err(Error::Source("corrupt wire result chunk frame".into())),
         }
     }
-    if points.len() as u64 != point_count {
+    if distribution.len() as u64 != point_count {
         return Err(Error::Source(format!(
             "query result shipped {} distribution points but announced {point_count}",
-            points.len()
+            distribution.len()
         )));
     }
     Ok(QueryResult {
@@ -1000,7 +1013,7 @@ pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
         distribution_time_ns,
         typical_time_ns,
         expected_distance,
-        points,
+        distribution,
         typical,
         u_topk,
         epoch,
@@ -2543,24 +2556,27 @@ mod tests {
         }
     }
 
+    /// A result of `points` lines, every one witnessed by three ids.
     fn sample_result(points: usize) -> QueryResult {
-        let witness = |seed: u64| VectorWitness {
-            ids: vec![TupleId(seed), TupleId(seed + 1), TupleId(seed + 2)],
-            probability: 0.25 + (seed % 7) as f64 / 100.0,
-        };
+        let mut distribution = ScoreDistribution::empty();
+        for i in 0..points as u64 {
+            let ids = [TupleId(i), TupleId(i + 1), TupleId(i + 2)];
+            assert!(distribution.push_point(DistributionPoint {
+                score: 100.0 + i as f64 / 8.0,
+                probability: 1.0 / (i + 2) as f64,
+                witness: Some(VectorWitness {
+                    ids: &ids,
+                    probability: 0.25 + (i % 7) as f64 / 100.0,
+                }),
+            }));
+        }
         QueryResult {
             cache_hit: true,
             scan_depth: 69,
             distribution_time_ns: 1_234_567,
             typical_time_ns: 89_012,
             expected_distance: 6.5,
-            points: (0..points as u64)
-                .map(|i| DistributionPoint {
-                    score: 100.0 + i as f64 / 8.0,
-                    probability: 1.0 / (i + 2) as f64,
-                    witness: (i % 3 != 0).then(|| witness(i)),
-                })
-                .collect(),
+            distribution,
             typical: vec![
                 WireTypical {
                     score: 118.0,
@@ -2716,6 +2732,69 @@ mod tests {
             matches!(&err, Error::Source(m) if m.contains("announced")),
             "{err}"
         );
+    }
+
+    /// A well-framed result stream whose one chunk frame carries `lines`
+    /// verbatim, with the header announcing that many points.
+    fn result_with_lines(lines: &[DistributionPoint<'_>]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_query_result(&mut buf, &sample_result(0)).unwrap();
+        // Drop the end frame (length prefix + kind) and patch the point
+        // count, the fourth header field.
+        buf.truncate(buf.len() - 5);
+        buf[31..39].copy_from_slice(&(lines.len() as u64).to_le_bytes());
+        let mut chunk = new_chunk();
+        chunk[1..CHUNK_HEADER].copy_from_slice(&(lines.len() as u16).to_le_bytes());
+        for &line in lines {
+            push_point(&mut chunk, line).unwrap();
+        }
+        write_frame_to(&mut buf, &chunk).unwrap();
+        write_frame_to(&mut buf, &[FRAME_END]).unwrap();
+        buf
+    }
+
+    fn line(score: f64, ids: Option<&[TupleId]>) -> DistributionPoint<'_> {
+        DistributionPoint {
+            score,
+            probability: 0.25,
+            witness: ids.map(|ids| VectorWitness {
+                ids,
+                probability: 0.125,
+            }),
+        }
+    }
+
+    fn assert_rejects_witness_shapes(lines: &[DistributionPoint<'_>]) {
+        let err = read_query_result(&mut result_with_lines(lines).as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, Error::Source(m) if m.contains("witness presence or length")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn query_result_rejects_lines_mixing_witness_presence() {
+        let ids = [TupleId(1), TupleId(2)];
+        // Consistent lines decode, witnessed or not.
+        for lines in [
+            [line(1.0, Some(&ids)), line(2.0, Some(&ids))],
+            [line(1.0, None), line(2.0, None)],
+        ] {
+            let decoded = read_query_result(&mut result_with_lines(&lines).as_slice()).unwrap();
+            assert!(decoded.distribution.points().eq(lines));
+        }
+        assert_rejects_witness_shapes(&[line(1.0, Some(&ids)), line(2.0, None)]);
+        assert_rejects_witness_shapes(&[line(1.0, None), line(2.0, Some(&ids))]);
+    }
+
+    #[test]
+    fn query_result_rejects_witnesses_of_different_lengths() {
+        let (two, three) = (
+            [TupleId(1), TupleId(2)],
+            [TupleId(1), TupleId(2), TupleId(3)],
+        );
+        assert_rejects_witness_shapes(&[line(1.0, Some(&two)), line(2.0, Some(&three))]);
+        assert_rejects_witness_shapes(&[line(1.0, Some(&three)), line(2.0, Some(&two))]);
     }
 
     #[test]
